@@ -271,6 +271,55 @@ def mse(pred: Var, target) -> Var:
     return out
 
 
+def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
+    """mean((h @ w + b - target)**2) for a constant sparse target, without
+    forming the (rows, cols) prediction.
+
+    With Y = h w + 1 b and A = target, ||Y - A||^2 = ||Y||^2 - 2<Y, A> + ||A||^2.
+    ||Y||^2 comes from the Gram matrix h^T h, and <Y, A> from A^T h and the
+    column sums of A, so the cost is O(cols * k^2 + nnz * k) for k = h's width.
+    The gradients take the same closed form (the Gramian identity of
+    implicit-feedback matrix factorization).
+    """
+    rows, k = h.value.shape
+    cols = w.value.shape[1]
+    if w.value.shape[0] != k or b.value.shape != (1, cols) or target.shape != (rows, cols):
+        raise DimensionError(
+            f"sparse_target_mse: h {h.value.shape}, w {w.value.shape}, "
+            f"b {b.value.shape}, target {target.shape}"
+        )
+    target = sp.csr_matrix(target, dtype=np.float64)
+    hv, wv, bv = h.value, w.value, b.value
+    gram = hv.T @ hv                                 # (k, k)
+    hsum = hv.sum(axis=0, keepdims=True)             # 1^T h, (1, k)
+    gram_w = gram @ wv                               # (k, cols)
+    hta = np.asarray(target.T @ hv).T                # h^T A, (k, cols)
+    colsum = np.asarray(target.sum(axis=0))          # 1^T A, (1, cols)
+    hsum_w = hsum @ wv                               # (1, cols)
+    y_sq = (float((wv * gram_w).sum()) + 2.0 * float((hsum_w * bv).sum())
+            + rows * float((bv * bv).sum()))
+    y_dot_a = float((wv * hta).sum()) + float((colsum * bv).sum())
+    a_sq = float((target.data * target.data).sum())
+    n = rows * cols
+    out = Var(np.array([[(y_sq - 2.0 * y_dot_a + a_sq) / n]]), parents=(h, w, b))
+
+    def bwd(g):
+        c = 2.0 * g[0, 0] / n
+        dh = hv @ (wv @ wv.T)
+        dh += bv @ wv.T
+        dh -= np.asarray(target @ wv.T)
+        dh *= c
+        h.grad += dh
+        dw = gram_w - hta
+        dw += hsum.T @ bv
+        dw *= c
+        w.grad += dw
+        b.grad += c * (hsum_w + rows * bv - colsum)
+
+    out._backward = bwd
+    return out
+
+
 def ce_with_logits(logits: Var, labels) -> Var:
     """Mean softmax cross-entropy, computed via log-sum-exp."""
     labels = np.asarray(labels, dtype=np.int64).ravel()

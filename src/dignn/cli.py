@@ -71,7 +71,10 @@ def read_config_file(path: str) -> dict:
             if key not in CONFIG_KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             typ = CONFIG_KEYS[key]
-            out[key] = _parse_bool(value) if typ is bool else typ(value)
+            try:
+                out[key] = _parse_bool(value) if typ is bool else typ(value)
+            except ValueError as exc:
+                raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return out
 
 
@@ -153,6 +156,11 @@ def cmd_train(args) -> int:
                      "mode": args.mode}
         cfg = resolve_config(file_cfg, overrides)
         data_dir = args.data
+    tcfg = build_train_config(cfg)
+    try:
+        tcfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     os.makedirs(args.out, exist_ok=True)
     paths = {name: os.path.join(args.out, fn) for name, fn in (
@@ -169,7 +177,6 @@ def cmd_train(args) -> int:
     _write_json(manifest, paths["manifest"])
 
     graph, split = _prepare_data(data_dir, cfg)
-    tcfg = build_train_config(cfg)
     try:
         params, history = train(graph, split, tcfg)
     except DivergenceError as exc:

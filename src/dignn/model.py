@@ -53,7 +53,8 @@ class ForwardOut:
     alpha_X: Var        # (b, 1)
     z: Var              # fused (b, d)
     logits: Var         # (b, 2)
-    x_A_hat: Var | None = None
+    x_A_hat: None = None  # (b, N) never formed; rec_loss works from h_A_dec
+    h_A_dec: Var | None = None  # topology decoder hidden layer (b, h)
     x_X_hat: Var | None = None
 
 
@@ -137,22 +138,26 @@ class DignnParams:
 
     @classmethod
     def load(cls, path: str) -> "DignnParams":
+        def read(fh, nbytes: int) -> bytes:
+            buf = fh.read(nbytes)
+            if len(buf) != nbytes:
+                raise GraphLoadError(f"truncated model file: {path}")
+            return buf
+
         with open(path, "rb") as fh:
             if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
                 raise GraphLoadError(f"not a model file: {path}")
-            version, n, d_in, d, h, n_tensors = struct.unpack("<6I", fh.read(24))
+            version, n, d_in, d, h, n_tensors = struct.unpack("<6I", read(fh, 24))
             if version != MODEL_VERSION:
                 raise GraphLoadError(f"unsupported model version {version}")
-            shared = bool(struct.unpack("<B", fh.read(1))[0])
+            shared = bool(struct.unpack("<B", read(fh, 1))[0])
             cfg = DignnConfig(embed_dim=d, hidden_dim=h, shared_attention=shared)
             tensors = OrderedDict()
             for _ in range(n_tensors):
-                (nlen,) = struct.unpack("<I", fh.read(4))
-                name = fh.read(nlen).decode()
-                rows, cols = struct.unpack("<II", fh.read(8))
-                buf = fh.read(rows * cols * 8)
-                if len(buf) != rows * cols * 8:
-                    raise GraphLoadError(f"truncated tensor {name} in {path}")
+                (nlen,) = struct.unpack("<I", read(fh, 4))
+                name = read(fh, nlen).decode()
+                rows, cols = struct.unpack("<II", read(fh, 8))
+                buf = read(fh, rows * cols * 8)
                 tensors[name] = Var(
                     np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
                 )
@@ -231,17 +236,20 @@ def forward(params: DignnParams, batch: BatchSubgraph, cfg: DignnConfig,
         alpha_A=alpha_a, alpha_X=alpha_x, z=fused, logits=logits,
     )
     if with_reconstruction:
-        out.x_A_hat = _mlp2(z_a_s, params["dec_a_w1"], params["dec_a_b1"],
-                            params["dec_a_w2"], params["dec_a_b2"])
+        out.h_A_dec = ad.relu(ad.add(ad.matmul(z_a_s, params["dec_a_w1"]),
+                                     params["dec_a_b1"]))
         out.x_X_hat = _mlp2(z_x_s, params["dec_x_w1"], params["dec_x_b1"],
                             params["dec_x_w2"], params["dec_x_b2"])
     return out
 
 
-def rec_loss(batch: BatchSubgraph, x_a_hat: Var, x_x_hat: Var) -> Var:
-    """Decoder mean-squared errors against the two original views."""
-    target_a = np.asarray(batch.topo_rows.todense(), dtype=np.float64)
-    return ad.add(ad.mse(x_a_hat, target_a), ad.mse(x_x_hat, batch.features))
+def rec_loss(batch: BatchSubgraph, params: DignnParams, out: ForwardOut) -> Var:
+    """Decoder mean-squared errors against the two original views. The
+    topology decoder's output layer is folded into the loss, so its
+    (b, N) reconstruction is never formed."""
+    topo = ad.sparse_target_mse(out.h_A_dec, params["dec_a_w2"],
+                                params["dec_a_b2"], batch.topo_rows)
+    return ad.add(topo, ad.mse(out.x_X_hat, batch.features))
 
 
 def _mean_log_normal(z: Var, mu: Var | float, var: float, dim: int, n: int) -> Var:

@@ -97,7 +97,7 @@ def _batch_losses(params: DignnParams, batch, cfg: TrainConfig, rng):
     eps_x = rng.standard_normal((b, mcfg.embed_dim))
     out = M.forward(params, batch, mcfg, eps_a, eps_x, with_reconstruction=True)
     ce = ad.ce_with_logits(out.logits, batch.labels)
-    rec = M.rec_loss(batch, out.x_A_hat, out.x_X_hat)
+    rec = M.rec_loss(batch, params, out)
     exc = M.exc_loss(out.z_A, out.z_X, out.z_A_s, out.z_X_s, mcfg)
     return out, ce, rec, exc, M.total_loss(ce, rec, exc, mcfg)
 
@@ -192,7 +192,7 @@ def gradcheck(model_cfg: DignnConfig | None = None, h: float = 1e-5,
         out = M.forward(params, batch, mcfg, eps_a, eps_x,
                         with_reconstruction=True)
         ce = ad.ce_with_logits(out.logits, batch.labels)
-        rec = M.rec_loss(batch, out.x_A_hat, out.x_X_hat)
+        rec = M.rec_loss(batch, params, out)
         exc = M.exc_loss(out.z_A, out.z_X, out.z_A_s, out.z_X_s, mcfg)
         return M.total_loss(ce, rec, exc, mcfg)
 

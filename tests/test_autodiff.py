@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,88 @@ class TestMse:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ad.mse(ad.Var(np.ones((2, 2))), np.ones((2, 3)))
+
+
+def _sparse_targets(rows, cols, seed):
+    """Named targets covering the cases the closed form must handle."""
+    binary = sp.random(rows, cols, density=0.3, random_state=seed, format="csr")
+    binary.data[:] = 1.0
+    weighted = sp.random(rows, cols, density=0.3, random_state=seed + 1,
+                         format="csr", data_rvs=lambda n: np.linspace(-2.5, 3.0, n))
+    empty_rows = sp.random(rows, cols, density=0.5, random_state=seed + 2,
+                           format="lil")
+    empty_rows[::2] = 0.0
+    return {
+        "binary": binary,
+        "weighted": weighted,
+        "empty_rows": sp.csr_matrix(empty_rows),
+        "all_zero": sp.csr_matrix((rows, cols)),
+    }
+
+
+class TestSparseTargetMse:
+    ROWS, K, COLS = 6, 4, 9
+
+    def _leaves(self, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((self.ROWS, self.K)),
+                rng.standard_normal((self.K, self.COLS)),
+                rng.standard_normal((1, self.COLS)))
+
+    @staticmethod
+    def _run(f, values):
+        leaves = [ad.Var(v) for v in values]
+        loss = f(*leaves)
+        ad.backward(ad.scale(loss, 1.7))  # an upstream gradient other than 1
+        return [loss.value] + [v.grad for v in leaves]
+
+    @pytest.mark.parametrize("kind", ["binary", "weighted", "empty_rows", "all_zero"])
+    def test_matches_dense_mse(self, kind):
+        target = _sparse_targets(self.ROWS, self.COLS, 3)[kind]
+        values = self._leaves(4)
+        got = self._run(lambda h, w, b: ad.sparse_target_mse(h, w, b, target), values)
+        want = self._run(lambda h, w, b: ad.mse(ad.add(ad.matmul(h, w), b),
+                                                target.toarray()), values)
+        for g, d in zip(got, want):
+            assert np.max(np.abs(g - d)) <= 1e-12 * np.max(np.abs(d))
+
+    def test_matches_finite_differences(self):
+        target = _sparse_targets(self.ROWS, self.COLS, 5)["weighted"]
+        values = self._leaves(6)
+        leaves = [ad.Var(v) for v in values]
+        ad.backward(ad.sparse_target_mse(*leaves, target))
+        for var in leaves:
+            fd = fd_grad(lambda: float(ad.sparse_target_mse(*leaves, target).value[0, 0]),
+                         var.value)
+            assert rel_err(fd, var.grad) <= 1e-4
+
+    @pytest.mark.parametrize("shapes", [
+        ((6, 4), (3, 9), (1, 9), (6, 9)),   # h width vs w rows
+        ((6, 4), (4, 9), (1, 8), (6, 9)),   # bias width
+        ((6, 4), (4, 9), (2, 9), (6, 9)),   # bias rows
+        ((6, 4), (4, 9), (1, 9), (5, 9)),   # target rows
+        ((6, 4), (4, 9), (1, 9), (6, 8)),   # target cols
+    ])
+    def test_shape_mismatch(self, shapes):
+        h, w, b, t = shapes
+        with pytest.raises(DimensionError):
+            ad.sparse_target_mse(ad.Var(np.ones(h)), ad.Var(np.ones(w)),
+                                 ad.Var(np.ones(b)), sp.csr_matrix(t))
+
+    def test_never_allocates_dense_output(self):
+        rows, k, cols = 256, 16, 20_000
+        rng = np.random.default_rng(0)
+        target = sp.random(rows, cols, density=10 / cols, random_state=0, format="csr")
+        h = ad.Var(rng.standard_normal((rows, k)))
+        w = ad.Var(rng.standard_normal((k, cols)))
+        b = ad.Var(rng.standard_normal((1, cols)))
+        tracemalloc.start()
+        try:
+            ad.backward(ad.sparse_target_mse(h, w, b, target))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * rows * cols * 8
 
 
 class TestBackward:

@@ -96,6 +96,21 @@ class TestTrain:
         assert code == EXIT_DIVERGENCE
         assert os.path.isfile(os.path.join(out, "manifest.json"))
 
+    def test_non_numeric_config_value_is_usage_error(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("epochs = abc\n")
+        code = main(["train", "--data", data_dir, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "epochs" in capsys.readouterr().err
+
+    def test_invalid_config_is_usage_error_before_manifest(self, data_dir, tmp_path,
+                                                            capsys):
+        out = tmp_path / "o"
+        code = main(["train", "--data", data_dir, "--epochs", "0", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not (out / "manifest.json").exists()
+
 
 class TestEval:
     def test_eval_trained_model(self, trained_run, data_dir, capsys):
@@ -115,6 +130,15 @@ class TestEval:
         code = main(["eval", "--model", os.path.join(trained_run, "model.bin"),
                      "--data", other])
         assert code == EXIT_LOAD
+
+    def test_truncated_model_is_load_error(self, trained_run, data_dir, tmp_path,
+                                           capsys):
+        blob = open(os.path.join(trained_run, "model.bin"), "rb").read()
+        cut = tmp_path / "model.bin"
+        cut.write_bytes(blob[:20])
+        code = main(["eval", "--model", str(cut), "--data", data_dir])
+        assert code == EXIT_LOAD
+        assert "truncated" in capsys.readouterr().err
 
 
 class TestGradcheck:

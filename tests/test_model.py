@@ -138,11 +138,14 @@ class TestForward:
         mean = M.forward(p, batch, p.cfg)
         assert np.allclose(sampled.logits.value, mean.logits.value, atol=1e-14)
 
-    def test_reconstruction_shapes(self):
+    def test_reconstruction_stops_at_topology_decoder_hidden_layer(self):
         p = DignnParams.init(6, 4, small_cfg(), seed=8)
         batch = make_batch(seed=8)
         out = M.forward(p, batch, p.cfg, with_reconstruction=True)
-        assert out.x_A_hat.value.shape == (4, 6)
+        assert out.x_A_hat is None
+        hidden = np.maximum(out.z_A_s.value @ p["dec_a_w1"].value
+                            + p["dec_a_b1"].value, 0.0)
+        assert np.array_equal(out.h_A_dec.value, hidden)
         assert out.x_X_hat.value.shape == (4, 4)
 
     def test_predict_tie_goes_to_benign(self):
@@ -166,14 +169,25 @@ class TestForward:
 
 
 class TestLosses:
-    def test_rec_loss_matches_manual_mse(self):
+    def test_rec_loss_matches_dense_two_view_mse(self):
         p = DignnParams.init(6, 4, small_cfg(), seed=11)
+        rng = np.random.default_rng(11)
+        for var in p.tensors.values():  # so that nonzero biases take part too
+            var.value[...] += rng.uniform(-0.1, 0.1, var.shape)
         batch = make_batch(seed=11)
-        out = M.forward(p, batch, p.cfg, with_reconstruction=True)
-        loss = M.rec_loss(batch, out.x_A_hat, out.x_X_hat)
-        manual = (np.mean((out.x_A_hat.value - batch.topo_rows.toarray()) ** 2)
-                  + np.mean((out.x_X_hat.value - batch.features) ** 2))
-        assert loss.value[0, 0] == pytest.approx(manual, abs=1e-12)
+        eps = rng.standard_normal((4, 3))
+        out = M.forward(p, batch, p.cfg, eps, -eps, with_reconstruction=True)
+        loss = M.rec_loss(batch, p, out)
+
+        def mlp2(x, prefix):
+            v = {k: p[f"{prefix}_{k}"].value for k in ("w1", "b1", "w2", "b2")}
+            return np.maximum(x @ v["w1"] + v["b1"], 0.0) @ v["w2"] + v["b2"]
+
+        x_a_hat = mlp2(out.z_A_s.value, "dec_a")
+        x_x_hat = mlp2(out.z_X_s.value, "dec_x")
+        manual = (np.mean((x_a_hat - batch.topo_rows.toarray()) ** 2)
+                  + np.mean((x_x_hat - batch.features) ** 2))
+        assert loss.value[0, 0] == pytest.approx(manual, rel=1e-12)
 
     def test_exclusion_unit_value_example(self):
         # With zero noise, unit stds, mu_X = 0 and each ||mu_A_i||^2 = 4 the
