@@ -374,6 +374,12 @@ def backward(loss: Var):
             node._backward(node.grad)
 
 
+# Adam walks each tensor in chunks of this many float64 values (128 KB), so
+# the chunk of value, grad, both moments and the two scratch buffers stays in
+# L2 cache between the operations of one update.
+ADAM_CHUNK = 16_384
+
+
 class Adam:
     """Adam with an additive weight-decay term folded into the gradient.
 
@@ -393,24 +399,45 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v.value) for k, v in self.params.items()}
         self.v = {k: np.zeros_like(v.value) for k, v in self.params.items()}
+        self._scratch = np.empty((2, ADAM_CHUNK))
 
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
 
     def step(self):
+        """Update every tensor in place, ``ADAM_CHUNK`` values at a time.
+
+        Each value takes, in this order, g = grad + wd*p,
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        p -= (lr*(m/c1)) / (sqrt(v/c2) + eps) with ci = 1 - bi**t. Every
+        value's arithmetic is the same whatever the chunking, and nothing
+        larger than the two chunk-sized scratch buffers is allocated.
+        """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            g = p.grad
-            if self.weight_decay and name not in self.no_decay:
-                g = g + self.weight_decay * p.value
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            mhat = m / (1.0 - b1 ** self.t)
-            vhat = v / (1.0 - b2 ** self.t)
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            decay = self.weight_decay if name not in self.no_decay else 0.0
+            state = (p.value, p.grad, self.m[name], self.v[name])
+            flat = [a.reshape(-1) for a in state]
+            for lo in range(0, p.value.size, ADAM_CHUNK):
+                pc, gc, mc, vc = (a[lo:lo + ADAM_CHUNK] for a in flat)
+                s, u = (buf[:pc.size] for buf in self._scratch)
+                if decay:
+                    np.multiply(pc, decay, out=s)
+                    gc = np.add(gc, s, out=s)
+                mc *= b1
+                mc += np.multiply(gc, 1.0 - b1, out=u)
+                vc *= b2
+                np.multiply(gc, 1.0 - b2, out=u)
+                u *= gc
+                vc += u
+                np.divide(mc, c1, out=s)
+                s *= lr
+                np.divide(vc, c2, out=u)
+                np.sqrt(u, out=u)
+                u += eps
+                s /= u
+                pc -= s

@@ -2,8 +2,10 @@
 
 Subcommands: train, eval, synth, gradcheck, export-embeddings.
 
-Exit codes: 0 success, 1 gradient-check failure, 2 usage/config error,
-3 load error (graph or model), 4 training divergence.
+Exit codes: 0 success, 1 gradient-check failure, 2 usage/config error
+(including a split that cannot be formed and a metric left undefined by the
+split, e.g. a validation set with one class), 3 load error (graph or model),
+4 training divergence.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import os
 import sys
 from dataclasses import asdict
 
-from .errors import DignnError, DivergenceError, GraphLoadError
+from .errors import (
+    DignnError, DivergenceError, GraphLoadError, SplitError, UndefinedMetricError,
+)
 from .graphdata import (
     SynthConfig, load_graph, neighbor_label_distribution, normalize_features,
     save_graph, stratified_split, synth_generate,
@@ -330,7 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, SplitError, UndefinedMetricError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GraphLoadError as exc:

@@ -155,7 +155,12 @@ class DignnParams:
             tensors = OrderedDict()
             for _ in range(n_tensors):
                 (nlen,) = struct.unpack("<I", read(fh, 4))
-                name = read(fh, nlen).decode()
+                raw = read(fh, nlen)
+                try:
+                    name = raw.decode()
+                except UnicodeDecodeError as exc:
+                    raise GraphLoadError(
+                        f"tensor name {raw!r} is not UTF-8 in {path}") from exc
                 rows, cols = struct.unpack("<II", read(fh, 8))
                 buf = read(fh, rows * cols * 8)
                 tensors[name] = Var(

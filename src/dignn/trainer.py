@@ -102,6 +102,15 @@ def _batch_losses(params: DignnParams, batch, cfg: TrainConfig, rng):
     return out, ce, rec, exc, M.total_loss(ce, rec, exc, mcfg)
 
 
+def build_optimizer(params: DignnParams, cfg: TrainConfig) -> ad.Adam:
+    """Adam over the tensors that the ablation's loss reads: under ``no_mi``
+    no loss term reaches the decoders, so they stay out and keep their init."""
+    tensors = {n: v for n, v in params.tensors.items()
+               if cfg.ablation == "full" or not n.startswith("dec_")}
+    return ad.Adam(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay,
+                   no_decay=params.no_decay_names())
+
+
 def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
     """Run the full training schedule; return the best-validation parameters
     and the per-epoch history."""
@@ -109,8 +118,7 @@ def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
     streams = seed_streams(cfg.seed)
     params = DignnParams.init(graph.num_nodes, graph.feature_dim, cfg.model,
                               streams["init"])
-    opt = ad.Adam(params.tensors, lr=cfg.lr, weight_decay=cfg.weight_decay,
-                  no_decay=params.no_decay_names())
+    opt = build_optimizer(params, cfg)
     epoch_seeds = streams["sample"].spawn(cfg.epochs)
 
     history = TrainHistory()

@@ -365,3 +365,61 @@ class TestAdam:
         opt.step()
         assert w.value[0, 0] != 1.0  # decay acted as a gradient on w
         assert b.value[0, 0] == 1.0
+
+    @staticmethod
+    def _unfused_step(opt):
+        """The un-fused update the blocked ``Adam.step`` must reproduce bit
+        for bit: full-size temporaries, the same operation order."""
+        opt.t += 1
+        b1, b2 = opt.beta1, opt.beta2
+        for name, p in opt.params.items():
+            g = p.grad
+            if opt.weight_decay and name not in opt.no_decay:
+                g = g + opt.weight_decay * p.value
+            m = opt.m[name]
+            v = opt.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            mhat = m / (1.0 - b1 ** opt.t)
+            vhat = v / (1.0 - b2 ** opt.t)
+            p.value -= opt.lr * mhat / (np.sqrt(vhat) + opt.eps)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.0005])
+    def test_matches_unfused_oracle(self, weight_decay):
+        c = ad.ADAM_CHUNK
+        shapes = {"one": (1, 1), "below": (7, 9), "chunk": (1, c),
+                  "ragged": (3, c // 2 + 5), "bias": (1, c + 1)}
+        rng = np.random.default_rng(11)
+        init = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        grads = [{n: rng.standard_normal(s) for n, s in shapes.items()}
+                 for _ in range(20)]
+        runs = []
+        for step in (ad.Adam.step, self._unfused_step):
+            params = {n: ad.Var(v.copy()) for n, v in init.items()}
+            opt = ad.Adam(params, lr=0.01, weight_decay=weight_decay,
+                          no_decay={"bias"})
+            for g in grads:
+                for n, p in params.items():
+                    p.grad[...] = g[n]
+                step(opt)
+            runs.append(opt)
+        got, want = runs
+        for n in shapes:
+            assert np.array_equal(got.params[n].value, want.params[n].value), n
+            assert np.array_equal(got.m[n], want.m[n]), n
+            assert np.array_equal(got.v[n], want.v[n]), n
+
+    def test_step_allocates_no_full_size_temporary(self):
+        rng = np.random.default_rng(0)
+        p = ad.Var(rng.standard_normal((2_000_000 // 64, 64)))
+        p.grad[...] = rng.standard_normal(p.shape)
+        opt = ad.Adam({"p": p}, weight_decay=0.0005)
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p.value.nbytes / 8

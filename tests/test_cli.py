@@ -111,6 +111,23 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert not (out / "manifest.json").exists()
 
+    def test_unformable_split_is_usage_error(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("train_ratio = 0.5\nval_ratio = 0.5\ntest_ratio = 0.5\n")
+        code = main(["train", "--data", data_dir, "--config", str(cfg),
+                     "--epochs", "1", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "ratios" in capsys.readouterr().err
+
+    def test_undefined_validation_metric_is_usage_error(self, data_dir, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("train_ratio = 0.98\nval_ratio = 0.01\ntest_ratio = 0.01\n")
+        code = main(["train", "--data", data_dir, "--config", str(cfg),
+                     "--epochs", "1", "--batch-size", "64", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "AUC" in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_trained_model(self, trained_run, data_dir, capsys):
@@ -139,6 +156,16 @@ class TestEval:
         code = main(["eval", "--model", str(cut), "--data", data_dir])
         assert code == EXIT_LOAD
         assert "truncated" in capsys.readouterr().err
+
+    def test_non_utf8_tensor_name_is_load_error(self, trained_run, data_dir, tmp_path,
+                                                capsys):
+        blob = bytearray(open(os.path.join(trained_run, "model.bin"), "rb").read())
+        blob[blob.index(b"enc_a_w1")] = 0xFF
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(bytes(blob))
+        code = main(["eval", "--model", str(bad), "--data", data_dir])
+        assert code == EXIT_LOAD
+        assert "UTF-8" in capsys.readouterr().err
 
 
 class TestGradcheck:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from dignn.errors import DivergenceError
-from dignn.graphdata import SynthConfig, stratified_split, synth_generate
+from dignn.graphdata import SynthConfig, gather_batch, stratified_split, synth_generate
 from dignn.metrics import MetricsReport
-from dignn.model import DignnConfig
+from dignn.model import DignnConfig, DignnParams
+from dignn.rng import generator, seed_streams
 from dignn.trainer import (
-    TrainConfig, evaluate, gradcheck, smoothed_features, train,
-    train_smoothing_baseline, _toy_graph,
+    ABLATIONS, TrainConfig, build_optimizer, evaluate, gradcheck,
+    smoothed_features, train, train_smoothing_baseline, _batch_losses, _toy_graph,
 )
 
 
@@ -98,6 +99,36 @@ class TestTrain:
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == hist.epochs[0].ce
+
+
+class TestOptimizerTensors:
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_optimizer_holds_exactly_the_tensors_the_loss_reads(self, ablation):
+        cfg = small_train_cfg(ablation=ablation)
+        g = _toy_graph()
+        params = DignnParams.init(g.num_nodes, g.feature_dim, cfg.model, 0)
+        _, _, _, _, loss = _batch_losses(params, gather_batch(g, np.arange(6)),
+                                         cfg, generator(0))
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            for p in stack.pop().parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        reachable = {n for n, v in params.tensors.items() if id(v) in seen}
+        assert set(build_optimizer(params, cfg).params) == reachable
+
+    def test_no_mi_leaves_decoders_at_init(self, small_data):
+        g, split = small_data
+        cfg = small_train_cfg(ablation="no_mi", epochs=2)
+        init = DignnParams.init(g.num_nodes, g.feature_dim, cfg.model,
+                                seed_streams(cfg.seed)["init"])
+        params, _ = train(g, split, cfg)
+        decoders = [n for n in params.tensors if n.startswith("dec_")]
+        assert decoders
+        for name in decoders:
+            assert np.array_equal(params[name].value, init[name].value), name
+        assert not np.array_equal(params["enc_a_w1"].value, init["enc_a_w1"].value)
 
 
 class TestEvaluate:
