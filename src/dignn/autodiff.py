@@ -53,12 +53,6 @@ def constant(x) -> Var:
     return Var(x)
 
 
-def _check_same_shape(a: Var, b, opname: str):
-    bshape = b.shape
-    if a.value.shape != bshape:
-        raise DimensionError(f"{opname}: shape {a.value.shape} vs {bshape}")
-
-
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum gradient over axes that were broadcast from size 1."""
     if g.shape == shape:
@@ -83,19 +77,6 @@ def add(a: Var, b: Var) -> Var:
     def bwd(g):
         a.grad += _unbroadcast(g, a.value.shape)
         b.grad += _unbroadcast(g, b.value.shape)
-
-    out._backward = bwd
-    return out
-
-
-def sub(a: Var, b: Var) -> Var:
-    if not _broadcastable(a.shape, b.shape):
-        raise DimensionError(f"sub: shape {a.shape} vs {b.shape}")
-    out = Var(a.value - b.value, parents=(a, b))
-
-    def bwd(g):
-        a.grad += _unbroadcast(g, a.value.shape)
-        b.grad -= _unbroadcast(g, b.value.shape)
 
     out._backward = bwd
     return out
@@ -174,18 +155,8 @@ def sparse_dense_matmul(s: sp.csr_matrix, b: Var) -> Var:
     return out
 
 
-def elementwise(v: Var, kind: str) -> Var:
-    if kind == "tanh":
-        y = np.tanh(v.value)
-        dy = 1.0 - y * y
-    elif kind == "relu":
-        y = np.maximum(v.value, 0.0)
-        dy = (v.value > 0.0).astype(np.float64)
-    elif kind == "sigmoid":
-        y = 0.5 * (1.0 + np.tanh(0.5 * v.value))
-        dy = y * (1.0 - y)
-    else:
-        raise ValueError(f"unknown elementwise kind: {kind!r}")
+def _unary(v: Var, y: np.ndarray, dy: np.ndarray) -> Var:
+    """Elementwise op with value y and local derivative dy."""
     out = Var(y, parents=(v,))
 
     def bwd(g):
@@ -196,53 +167,17 @@ def elementwise(v: Var, kind: str) -> Var:
 
 
 def tanh(v: Var) -> Var:
-    return elementwise(v, "tanh")
+    y = np.tanh(v.value)
+    return _unary(v, y, 1.0 - y * y)
 
 
 def relu(v: Var) -> Var:
-    return elementwise(v, "relu")
+    return _unary(v, np.maximum(v.value, 0.0), (v.value > 0.0).astype(np.float64))
 
 
 def sigmoid(v: Var) -> Var:
-    return elementwise(v, "sigmoid")
-
-
-def row_softmax(v: Var) -> Var:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    shifted = v.value - v.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Var(y, parents=(v,))
-
-    def bwd(g):
-        v.grad += y * (g - (g * y).sum(axis=1, keepdims=True))
-
-    out._backward = bwd
-    return out
-
-
-def concat_cols(a: Var, b: Var) -> Var:
-    if a.value.shape[0] != b.value.shape[0]:
-        raise DimensionError(f"concat_cols: shape {a.value.shape} vs {b.value.shape}")
-    out = Var(np.hstack([a.value, b.value]), parents=(a, b))
-    ka = a.value.shape[1]
-
-    def bwd(g):
-        a.grad += g[:, :ka]
-        b.grad += g[:, ka:]
-
-    out._backward = bwd
-    return out
-
-
-def take_cols(v: Var, start: int, stop: int) -> Var:
-    out = Var(v.value[:, start:stop].copy(), parents=(v,))
-
-    def bwd(g):
-        v.grad[:, start:stop] += g
-
-    out._backward = bwd
-    return out
+    y = 0.5 * (1.0 + np.tanh(0.5 * v.value))
+    return _unary(v, y, y * (1.0 - y))
 
 
 def sum_all(v: Var) -> Var:

@@ -36,16 +36,14 @@ EXIT_USAGE = 2
 EXIT_LOAD = 3
 EXIT_DIVERGENCE = 4
 
-CONFIG_KEYS = {
-    "epochs": int, "batch_size": int, "lr": float, "weight_decay": float,
-    "seed": int, "mode": str, "ablation": str,
-    "embed_dim": int, "hidden_dim": int, "alpha": float, "beta": float,
-    "sigma_enc": float, "prior_mean": float, "prior_std": float,
-    "shared_attention": bool, "drop_conditional_terms": bool,
-    "train_ratio": float, "val_ratio": float, "test_ratio": float,
-}
-
 DEFAULT_RATIOS = {"train_ratio": 0.4, "val_ratio": 0.2, "test_ratio": 0.4}
+
+_TRAIN_DEFAULTS = {k: v for k, v in asdict(TrainConfig()).items() if k != "model"}
+_MODEL_DEFAULTS = asdict(DignnConfig())
+CONFIG_DEFAULTS = {**_TRAIN_DEFAULTS, **_MODEL_DEFAULTS, **DEFAULT_RATIOS}
+# Each key's type is that of its default (``field.type`` is only a string
+# under ``from __future__ import annotations``).
+CONFIG_KEYS = {k: type(v) for k, v in CONFIG_DEFAULTS.items()}
 
 
 class UsageError(DignnError):
@@ -82,30 +80,39 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+def read_manifest(path: str) -> tuple[dict, str]:
+    """The config and data directory of a manifest, with exactly the keys of
+    ``CONFIG_KEYS``, each holding a value of its type."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read manifest {path}: {exc}") from exc
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("data"), str)):
+        raise UsageError(f"{path}: a manifest needs a 'config' object and a 'data' path")
+    cfg = manifest["config"]
+    missing = sorted(CONFIG_KEYS.keys() - cfg.keys())
+    if missing:
+        raise UsageError(f"{path}: config lacks key(s) {', '.join(missing)}")
+    unknown = sorted(cfg.keys() - CONFIG_KEYS.keys())
+    if unknown:
+        raise UsageError(f"{path}: unknown config key(s) {', '.join(unknown)}")
+    for key, typ in CONFIG_KEYS.items():
+        if not (type(cfg[key]) is typ or (typ is float and type(cfg[key]) is int)):
+            raise UsageError(f"{path}: bad value for {key}: {cfg[key]!r}")
+    return cfg, manifest["data"]
+
+
 def resolve_config(file_cfg: dict, cli_overrides: dict) -> dict:
-    cfg = {"epochs": 50, "batch_size": 1024, "lr": 0.001, "weight_decay": 0.0005,
-           "seed": 0, "mode": "minibatch", "ablation": "full",
-           **{k: v for k, v in asdict(DignnConfig()).items()
-              if k not in ("mc_samples",)},
-           **DEFAULT_RATIOS}
-    cfg.update(file_cfg)
+    cfg = {**CONFIG_DEFAULTS, **file_cfg}
     cfg.update({k: v for k, v in cli_overrides.items() if v is not None})
     return cfg
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    model = DignnConfig(
-        embed_dim=cfg["embed_dim"], hidden_dim=cfg["hidden_dim"],
-        alpha=cfg["alpha"], beta=cfg["beta"], sigma_enc=cfg["sigma_enc"],
-        prior_mean=cfg["prior_mean"], prior_std=cfg["prior_std"],
-        shared_attention=cfg["shared_attention"],
-        drop_conditional_terms=cfg["drop_conditional_terms"],
-    )
-    return TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-        weight_decay=cfg["weight_decay"], seed=cfg["seed"], model=model,
-        mode=cfg["mode"], ablation=cfg["ablation"],
-    )
+    model = DignnConfig(**{k: cfg[k] for k in _MODEL_DEFAULTS})
+    return TrainConfig(model=model, **{k: cfg[k] for k in _TRAIN_DEFAULTS})
 
 
 def variant_tag(cfg: dict) -> str:
@@ -146,10 +153,7 @@ def _prepare_data(data_dir: str, cfg: dict):
 
 def cmd_train(args) -> int:
     if args.manifest:
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
-        cfg = manifest["config"]
-        data_dir = manifest["data"]
+        cfg, data_dir = read_manifest(args.manifest)
     else:
         if not args.data:
             raise UsageError("train requires --data (or --manifest)")
@@ -165,6 +169,7 @@ def cmd_train(args) -> int:
         tcfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    graph, split = _prepare_data(data_dir, cfg)
 
     os.makedirs(args.out, exist_ok=True)
     paths = {name: os.path.join(args.out, fn) for name, fn in (
@@ -180,7 +185,6 @@ def cmd_train(args) -> int:
     }
     _write_json(manifest, paths["manifest"])
 
-    graph, split = _prepare_data(data_dir, cfg)
     try:
         params, history = train(graph, split, tcfg)
     except DivergenceError as exc:

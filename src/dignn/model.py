@@ -30,9 +30,7 @@ class DignnConfig:
     sigma_enc: float = 1.0       # fixed sampling std of the encoder posteriors
     prior_mean: float = 0.0      # shared prior mean (per coordinate)
     prior_std: float = 1.0
-    mc_samples: int = 1
     shared_attention: bool = True     # one (q, W, b) for both views
-    drop_conditional_terms: bool = False  # drop zero-gradient terms of exc loss
 
     def validate(self):
         if self.embed_dim < 1 or self.hidden_dim < 1:
@@ -96,12 +94,8 @@ class DignnParams:
         rng = generator(seed)
         tensors = OrderedDict()
         for name, shape in cls.shape_spec(n_nodes, feat_dim, cfg):
-            if cls.is_bias(name):
-                value = np.zeros(shape)
-            else:
-                limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-                value = rng.uniform(-limit, limit, size=shape)
-            tensors[name] = Var(value)
+            tensors[name] = Var(np.zeros(shape) if cls.is_bias(name)
+                                else glorot(rng, shape))
         return cls(tensors, n_nodes, feat_dim, cfg)
 
     @staticmethod
@@ -166,13 +160,23 @@ class DignnParams:
                 tensors[name] = Var(
                     np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
                 )
-        expected = [s for s, _ in cls.shape_spec(n, d_in, cfg)]
-        if list(tensors) != expected:
+        expected = cls.shape_spec(n, d_in, cfg)
+        if list(tensors) != [name for name, _ in expected]:
             raise GraphLoadError(f"unexpected tensor layout in {path}")
+        for name, shape in expected:
+            if tensors[name].shape != shape:
+                raise GraphLoadError(f"tensor {name} has shape {tensors[name].shape}, "
+                                     f"expected {shape}, in {path}")
         return cls(tensors, n, d_in, cfg)
 
 
-def _mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+def glorot(rng, shape) -> np.ndarray:
+    """Uniform +-sqrt(6/(fan_in+fan_out)) weights."""
+    limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
     hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
     return ad.add(ad.matmul(hidden, w2), b2)
 
@@ -192,8 +196,8 @@ def encode_views(params: DignnParams, batch: BatchSubgraph) -> tuple[Var, Var]:
         params["enc_a_b1"],
     ))
     z_a = ad.add(ad.matmul(h_a, params["enc_a_w2"]), params["enc_a_b2"])
-    z_x = _mlp2(ad.constant(batch.features), params["enc_x_w1"],
-                params["enc_x_b1"], params["enc_x_w2"], params["enc_x_b2"])
+    z_x = mlp2(ad.constant(batch.features), params["enc_x_w1"],
+               params["enc_x_b1"], params["enc_x_w2"], params["enc_x_b2"])
     return z_a, z_x
 
 
@@ -207,7 +211,8 @@ def _attention_score(z: Var, w: Var, b: Var, q: Var) -> Var:
 
 
 def attention_fuse(params: DignnParams, z_a: Var, z_x: Var):
-    """Per-node scalar scores, two-way softmax, convex combination."""
+    """Per-node scalar scores, two-way softmax, convex combination. The
+    softmax over two scores is alpha_A = sigmoid(s_A - s_X), alpha_X = 1 - alpha_A."""
     s_a = _attention_score(z_a, params["att_w"], params["att_b"], params["att_q"])
     if params.cfg.shared_attention:
         s_x = _attention_score(z_x, params["att_w"], params["att_b"], params["att_q"])
@@ -215,9 +220,8 @@ def attention_fuse(params: DignnParams, z_a: Var, z_x: Var):
         s_x = _attention_score(
             z_x, params["att_w_x"], params["att_b_x"], params["att_q_x"]
         )
-    alphas = ad.row_softmax(ad.concat_cols(s_a, s_x))
-    alpha_a = ad.take_cols(alphas, 0, 1)
-    alpha_x = ad.take_cols(alphas, 1, 2)
+    alpha_a = ad.sigmoid(ad.add(s_a, ad.scale(s_x, -1.0)))
+    alpha_x = ad.add_const(ad.scale(alpha_a, -1.0), 1.0)
     fused = ad.add(ad.mul(alpha_a, z_a), ad.mul(alpha_x, z_x))
     return alpha_a, alpha_x, fused
 
@@ -243,8 +247,8 @@ def forward(params: DignnParams, batch: BatchSubgraph, cfg: DignnConfig,
     if with_reconstruction:
         out.h_A_dec = ad.relu(ad.add(ad.matmul(z_a_s, params["dec_a_w1"]),
                                      params["dec_a_b1"]))
-        out.x_X_hat = _mlp2(z_x_s, params["dec_x_w1"], params["dec_x_b1"],
-                            params["dec_x_w2"], params["dec_x_b2"])
+        out.x_X_hat = mlp2(z_x_s, params["dec_x_w1"], params["dec_x_b1"],
+                           params["dec_x_w2"], params["dec_x_b2"])
     return out
 
 
@@ -257,10 +261,9 @@ def rec_loss(batch: BatchSubgraph, params: DignnParams, out: ForwardOut) -> Var:
     return ad.add(topo, ad.mse(out.x_X_hat, batch.features))
 
 
-def _mean_log_normal(z: Var, mu: Var | float, var: float, dim: int, n: int) -> Var:
-    """Mean over nodes of log N(z_i; mu_i, var*I)."""
-    diff = ad.sub(z, mu) if isinstance(mu, Var) else ad.add_const(z, -mu)
-    ssq = ad.sum_all(ad.square(diff))
+def _mean_log_normal(z: Var, mu: float, var: float, dim: int, n: int) -> Var:
+    """Mean over nodes of log N(z_i; mu, var*I) for a scalar mean mu."""
+    ssq = ad.sum_all(ad.square(ad.add_const(z, -mu)))
     out = ad.scale(ssq, -1.0 / (2.0 * var * n))
     return ad.add_const(out, -0.5 * dim * math.log(2.0 * math.pi * var))
 
@@ -273,12 +276,14 @@ def exc_loss(mu_a: Var, mu_x: Var, z_a_s: Var, z_x_s: Var, cfg: DignnConfig) -> 
     p2 = cfg.prior_std ** 2
     prior_a = _mean_log_normal(z_a_s, cfg.prior_mean, p2, d, n)
     prior_x = _mean_log_normal(z_x_s, cfg.prior_mean, p2, d, n)
-    total = ad.scale(ad.add(prior_a, prior_x), -1.0)
-    if not cfg.drop_conditional_terms:
-        # zero expected gradient with fixed sigma; kept for the exact value
-        cond_a = _mean_log_normal(z_a_s, mu_a, s2, d, n)
-        cond_x = _mean_log_normal(z_x_s, mu_x, s2, d, n)
-        total = ad.add(total, ad.add(cond_a, cond_x))
+    # With a fixed sigma, z_s - mu = sigma * eps does not depend on mu, so the
+    # conditional log-densities are constants with exactly zero gradient.
+    cond = 0.0
+    for z_s, mu in ((z_a_s, mu_a), (z_x_s, mu_x)):
+        diff = z_s.value - mu.value
+        cond += (float((diff * diff).sum()) * (-1.0 / (2.0 * s2 * n))
+                 - 0.5 * d * math.log(2.0 * math.pi * s2))
+    total = ad.add_const(ad.scale(ad.add(prior_a, prior_x), -1.0), cond)
     return ad.scale(total, 0.5)
 
 
@@ -288,11 +293,12 @@ def total_loss(ce: Var, rec: Var, exc: Var, cfg: DignnConfig) -> Var:
 
 def predict(params: DignnParams, batch: BatchSubgraph, cfg: DignnConfig):
     """Deterministic scores and classes; exact ties go to class 0."""
-    out = forward(params, batch, cfg)
-    z = out.logits.value
-    zmax = z.max(axis=1, keepdims=True)
-    e = np.exp(z - zmax)
+    return softmax_predict(forward(params, batch, cfg).logits.value)
+
+
+def softmax_predict(logits: np.ndarray):
+    """Classes and class-1 probabilities of (n, 2) logits; exact ties go to
+    class 0."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
-    scores = probs[:, 1]
-    preds = (probs[:, 1] > probs[:, 0]).astype(np.int64)
-    return preds, scores
+    return (probs[:, 1] > probs[:, 0]).astype(np.int64), probs[:, 1]

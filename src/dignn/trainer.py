@@ -5,7 +5,7 @@ feature-smoothing MLP baseline for calibration experiments."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,16 +87,13 @@ def evaluate(params: DignnParams, graph: FraudGraph, ids) -> MetricsReport:
 def _batch_losses(params: DignnParams, batch, cfg: TrainConfig, rng):
     mcfg = cfg.model
     b = batch.node_ids.size
-    if cfg.ablation == "no_mi":
-        eps_a = rng.standard_normal((b, mcfg.embed_dim))
-        eps_x = rng.standard_normal((b, mcfg.embed_dim))
-        out = M.forward(params, batch, mcfg, eps_a, eps_x)
-        ce = ad.ce_with_logits(out.logits, batch.labels)
-        return out, ce, None, None, ce
     eps_a = rng.standard_normal((b, mcfg.embed_dim))
     eps_x = rng.standard_normal((b, mcfg.embed_dim))
-    out = M.forward(params, batch, mcfg, eps_a, eps_x, with_reconstruction=True)
+    full = cfg.ablation == "full"
+    out = M.forward(params, batch, mcfg, eps_a, eps_x, with_reconstruction=full)
     ce = ad.ce_with_logits(out.logits, batch.labels)
+    if not full:
+        return out, ce, None, None, ce
     rec = M.rec_loss(batch, params, out)
     exc = M.exc_loss(out.z_A, out.z_X, out.z_A_s, out.z_X_s, mcfg)
     return out, ce, rec, exc, M.total_loss(ce, rec, exc, mcfg)
@@ -187,8 +184,7 @@ def gradcheck(model_cfg: DignnConfig | None = None, h: float = 1e-5,
 
     ``corrupt`` flips the sign of one tensor's analytic gradient (test hook).
     """
-    mcfg = model_cfg or DignnConfig()
-    mcfg = DignnConfig(**{**mcfg.__dict__, "embed_dim": 3, "hidden_dim": 5})
+    mcfg = replace(model_cfg or DignnConfig(), embed_dim=3, hidden_dim=5)
     graph = _toy_graph(seed)
     batch = gather_batch(graph, np.arange(6))
     rng = generator(seed)
@@ -252,19 +248,14 @@ def train_smoothing_baseline(graph: FraudGraph, split: SplitIndex,
     streams = seed_streams(cfg.seed)
     rng = generator(streams["init"])
 
-    def glorot(r, c):
-        lim = math.sqrt(6.0 / (r + c))
-        return ad.Var(rng.uniform(-lim, lim, size=(r, c)))
-
-    w1, b1 = glorot(d_in, h), ad.Var(np.zeros((1, h)))
-    w2, b2 = glorot(h, 2), ad.Var(np.zeros((1, 2)))
+    w1, b1 = ad.Var(M.glorot(rng, (d_in, h))), ad.Var(np.zeros((1, h)))
+    w2, b2 = ad.Var(M.glorot(rng, (h, 2))), ad.Var(np.zeros((1, 2)))
     tensors = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
     opt = ad.Adam(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay,
                   no_decay={"b1", "b2"})
 
     def logits_for(ids):
-        x = ad.constant(xs[ids])
-        return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+        return M.mlp2(ad.constant(xs[ids]), w1, b1, w2, b2)
 
     train_ids = np.asarray(split.train)
     for _ in range(cfg.epochs):
@@ -274,8 +265,5 @@ def train_smoothing_baseline(graph: FraudGraph, split: SplitIndex,
         opt.step()
 
     test_ids = np.asarray(split.test)
-    z = logits_for(test_ids).value
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    preds = (probs[:, 1] > probs[:, 0]).astype(np.int64)
-    return compute_report(probs[:, 1], preds, graph.labels[test_ids])
+    preds, scores = M.softmax_predict(logits_for(test_ids).value)
+    return compute_report(scores, preds, graph.labels[test_ids])

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import dignn.autodiff as ad
+import dignn.model as M
 from dignn.errors import DimensionError, InvalidLabelError
 
 
@@ -88,50 +89,99 @@ class TestSparseDenseMatmul:
 class TestElementwise:
     def test_tanh_at_zero(self):
         x = ad.Var([[0.0]])
-        y = ad.elementwise(x, "tanh")
+        y = ad.tanh(x)
         ad.backward(ad.sum_all(y))
         assert y.value[0, 0] == 0.0
         assert x.grad[0, 0] == 1.0
 
     def test_relu_negative(self):
         x = ad.Var([[-2.5]])
-        y = ad.elementwise(x, "relu")
+        y = ad.relu(x)
         ad.backward(ad.sum_all(y))
         assert y.value[0, 0] == 0.0
         assert x.grad[0, 0] == 0.0
 
     def test_sigmoid_at_zero(self):
         x = ad.Var([[0.0]])
-        y = ad.elementwise(x, "sigmoid")
+        y = ad.sigmoid(x)
         ad.backward(ad.sum_all(y))
         assert y.value[0, 0] == 0.5
         assert x.grad[0, 0] == pytest.approx(0.25, abs=1e-15)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ad.elementwise(ad.Var([[0.0]]), "softplus")
+    @pytest.mark.parametrize("op, value", [
+        (ad.tanh, np.tanh),
+        (ad.relu, lambda x: np.maximum(x, 0.0)),
+        (ad.sigmoid, lambda x: 1.0 / (1.0 + np.exp(-x))),
+    ], ids=["tanh", "relu", "sigmoid"])
+    def test_value_and_grad_match_numpy(self, op, value):
+        rng = np.random.default_rng(2)
+        x_val = rng.uniform(-3.0, 3.0, size=(4, 3))
+        x_val[np.abs(x_val) < 1e-3] = 0.5  # keep relu's kink out of the FD stencil
+        w = rng.standard_normal((4, 3))
+        x = ad.Var(x_val)
+        y = op(x)
+        assert np.max(np.abs(y.value - value(x_val))) <= 1e-15
+        ad.backward(ad.sum_all(ad.mul(y, ad.Var(w))))
+        fd = fd_grad(lambda: float((op(ad.Var(x_val)).value * w).sum()), x_val)
+        assert rel_err(fd, x.grad) <= 1e-4
+
+
+def _fused_alphas(z_a, z_x, q):
+    """alpha_A and alpha_X of ``attention_fuse`` on 1-wide embeddings z_a, z_x
+    with W = 1, b = 0 and q as given, and the scores q*tanh(z) it forms."""
+    p = M.DignnParams.init(2, 2, M.DignnConfig(embed_dim=1, hidden_dim=1), seed=0)
+    p["att_w"].value[...] = 1.0
+    p["att_b"].value[...] = 0.0
+    p["att_q"].value[...] = q
+    z_a, z_x = (np.asarray(z, dtype=np.float64).reshape(-1, 1) for z in (z_a, z_x))
+    alpha_a, alpha_x, _ = M.attention_fuse(p, ad.Var(z_a), ad.Var(z_x))
+    return (alpha_a.value[:, 0], alpha_x.value[:, 0],
+            np.tanh(z_a)[:, 0] * q, np.tanh(z_x)[:, 0] * q)
 
 
 class TestRowSoftmax:
+    """The two-way attention softmax, which ``attention_fuse`` forms on the
+    tape as alpha_A = sigmoid(s_A - s_X) and alpha_X = 1 - alpha_A."""
+
     def test_symmetry(self):
-        out = ad.row_softmax(ad.Var([[0.0, 0.0]]))
-        assert np.allclose(out.value, [[0.5, 0.5]])
+        alpha_a, alpha_x, _, _ = _fused_alphas([0.3, -1.2], [0.3, -1.2], 2.0)
+        assert np.array_equal(alpha_a, [0.5, 0.5])
+        assert np.array_equal(alpha_x, [0.5, 0.5])
 
     def test_stability_under_large_inputs(self):
-        out = ad.row_softmax(ad.Var([[1000.0, 1000.0]]))
-        assert np.all(np.isfinite(out.value))
-        assert np.allclose(out.value, [[0.5, 0.5]])
+        # tanh(20) rounds to 1, so both scores are exactly 1000
+        alpha_a, alpha_x, s_a, s_x = _fused_alphas([20.0], [20.0], 1000.0)
+        assert s_a[0] == s_x[0] == 1000.0
+        assert np.all(np.isfinite(alpha_a)) and np.all(np.isfinite(alpha_x))
+        assert np.allclose(alpha_a, 0.5) and np.allclose(alpha_x, 0.5)
 
     def test_closed_form(self):
-        out = ad.row_softmax(ad.Var([[math.log(3), math.log(1)]]))
-        assert np.allclose(out.value, [[0.75, 0.25]], atol=1e-12)
+        alpha_a, alpha_x, _, _ = _fused_alphas([math.atanh(math.log(3) / 2)], [0.0], 2.0)
+        assert alpha_a[0] == pytest.approx(0.75, abs=1e-12)
+        assert alpha_x[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_rows_sum_to_one_for_extreme_entries(self):
         rng = np.random.default_rng(3)
-        x = rng.uniform(-1e4, 1e4, size=(6, 5))
-        out = ad.row_softmax(ad.Var(x))
-        assert np.all(out.value >= 0)
-        assert np.max(np.abs(out.value.sum(axis=1) - 1.0)) <= 1e-12
+        z_a, z_x = rng.uniform(-25.0, 25.0, size=(2, 30))
+        alpha_a, alpha_x, _, _ = _fused_alphas(z_a, z_x, 1e4)
+        assert np.all(alpha_a >= 0) and np.all(alpha_x >= 0)
+        assert np.max(np.abs(alpha_a + alpha_x - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("q", [0.5, 3.0, 40.0, 1e4])
+    def test_matches_numpy_two_way_softmax(self, q):
+        rng = np.random.default_rng(int(q))
+        z_a = np.concatenate([rng.uniform(-4.0, 4.0, 40), [20.0, -20.0, 20.0, 0.0]])
+        z_x = np.concatenate([rng.uniform(-4.0, 4.0, 40), [-20.0, 20.0, 20.0, 20.0]])
+        alpha_a, alpha_x, s_a, s_x = _fused_alphas(z_a, z_x, q)
+        if q == 1e4:  # tanh(+-20) rounds to +-1: the scores reach +-1e4
+            assert {1e4, -1e4} <= set(s_a) and {1e4, -1e4} <= set(s_x)
+        scores = np.stack([s_a, s_x], axis=1)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        oracle = e / e.sum(axis=1, keepdims=True)
+        for alpha in (alpha_a, alpha_x):
+            assert np.all(np.isfinite(alpha)) and np.all((alpha >= 0) & (alpha <= 1))
+        assert np.max(np.abs(alpha_a - oracle[:, 0])) <= 1e-15
+        assert np.max(np.abs(alpha_x - oracle[:, 1])) <= 1e-15
 
 
 class TestCeWithLogits:
@@ -313,14 +363,16 @@ def test_all_ops_match_finite_differences(seed):
         h = ad.add(h, ad.Var(rng_bias))
         h = ad.tanh(h)
         h = ad.add(h, ad.relu(ad.sparse_dense_matmul(s, b)))
-        sm = ad.row_softmax(h)
-        ce = ad.ce_with_logits(ad.take_cols(ad.sigmoid(h), 0, 2), labels) \
-            if m >= 2 else ad.sum_all(sm)
-        return ad.add(ad.add(ce, ad.mse(h, target)), ad.scale(ad.sum_all(ad.square(sm)), 0.1)), a, b
+        sg = ad.sigmoid(h)
+        one_minus = ad.add_const(ad.scale(sg, -1.0), 1.0)
+        ce = ad.ce_with_logits(ad.matmul(ad.mul(sg, one_minus), ad.Var(proj)), labels)
+        return ad.add(ad.add(ce, ad.mse(h, target)),
+                      ad.scale(ad.sum_all(ad.square(one_minus)), 0.1)), a, b
 
     a_val = rng.standard_normal((n, k))
     b_val = rng.standard_normal((k, m))
     rng_bias = rng.standard_normal((1, m))
+    proj = rng.standard_normal((m, 2))
     loss, a, b = build(a_val, b_val)
     ad.backward(loss)
     for var, val in ((a, a_val), (b, b_val)):

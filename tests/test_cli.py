@@ -1,13 +1,20 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from dignn.autodiff import Var
 from dignn.cli import (
-    EXIT_DIVERGENCE, EXIT_GRADCHECK, EXIT_LOAD, EXIT_OK, EXIT_USAGE,
-    UsageError, main, read_config_file, resolve_config, variant_tag,
+    CONFIG_KEYS, EXIT_DIVERGENCE, EXIT_GRADCHECK, EXIT_LOAD, EXIT_OK, EXIT_USAGE,
+    UsageError, build_train_config, main, read_config_file, resolve_config,
+    variant_tag,
 )
+from dignn.model import DignnConfig, DignnParams
+from dignn.trainer import TrainConfig
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +84,47 @@ class TestTrain:
         b = open(os.path.join(out2, "model.bin"), "rb").read()
         assert a == b
 
+    @pytest.mark.parametrize("case", [
+        "missing_file", "directory", "not_json", "no_config", "missing_key",
+        "unknown_key", "dropped_knob", "wrong_type",
+    ])
+    def test_bad_manifest_is_usage_error(self, trained_run, tmp_path, capsys, case):
+        with open(os.path.join(trained_run, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        cfg = manifest["config"]
+        path = tmp_path / "manifest.json"
+        named = None
+        if case == "missing_file":
+            path = tmp_path / "absent.json"
+        elif case == "directory":
+            path = tmp_path
+        elif case == "not_json":
+            path.write_text("{config: ")
+        else:
+            if case == "no_config":
+                del manifest["config"]
+                named = "config"
+            elif case == "missing_key":
+                del cfg["embed_dim"]
+                named = "embed_dim"
+            elif case == "unknown_key":
+                cfg["learning_rate"] = 0.1
+                named = "learning_rate"
+            elif case == "dropped_knob":  # a manifest written before the knob went
+                cfg["drop_conditional_terms"] = False
+                named = "drop_conditional_terms"
+            else:
+                cfg["epochs"] = "3"
+                named = "epochs"
+            path.write_text(json.dumps(manifest))
+        code = main(["train", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        if named:
+            assert named in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
@@ -118,6 +166,15 @@ class TestTrain:
                      "--epochs", "1", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         assert "ratios" in capsys.readouterr().err
+
+    def test_split_error_leaves_no_manifest(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("train_ratio = 0.5\nval_ratio = 0.5\ntest_ratio = 0.5\n")
+        out = tmp_path / "o"
+        code = main(["train", "--data", data_dir, "--config", str(cfg),
+                     "--epochs", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not (out / "manifest.json").exists()
 
     def test_undefined_validation_metric_is_usage_error(self, data_dir, tmp_path,
                                                         capsys):
@@ -166,6 +223,17 @@ class TestEval:
         code = main(["eval", "--model", str(bad), "--data", data_dir])
         assert code == EXIT_LOAD
         assert "UTF-8" in capsys.readouterr().err
+
+
+    def test_wrong_tensor_shape_is_load_error(self, trained_run, data_dir, tmp_path,
+                                              capsys):
+        params = DignnParams.load(os.path.join(trained_run, "model.bin"))
+        params.tensors["att_q"] = Var(np.zeros((5, 1)))
+        bad = str(tmp_path / "model.bin")
+        params.save(bad)
+        code = main(["eval", "--model", bad, "--data", data_dir])
+        assert code == EXIT_LOAD
+        assert "att_q" in capsys.readouterr().err
 
 
 class TestGradcheck:
@@ -223,6 +291,24 @@ class TestConfigHandling:
         assert cfg["epochs"] == 9     # CLI wins
         assert cfg["beta"] == 0.2     # file beats default
         assert cfg["seed"] == 0       # None override falls back to default
+
+    def test_config_keys_are_dataclass_fields_plus_ratios(self):
+        train = {f.name for f in fields(TrainConfig)} - {"model"}
+        model = {f.name for f in fields(DignnConfig)}
+        ratios = {"train_ratio", "val_ratio", "test_ratio"}
+        assert CONFIG_KEYS.keys() == train | model | ratios
+        assert len(train) + len(model) + len(ratios) == len(CONFIG_KEYS)
+        defaults = resolve_config({}, {})
+        assert all(type(defaults[k]) is t for k, t in CONFIG_KEYS.items())
+
+    def test_default_config_builds_default_train_config(self):
+        assert build_train_config(resolve_config({}, {})) == TrainConfig()
+
+    def test_readme_lists_every_config_key(self):
+        with open(README) as fh:
+            text = fh.read()
+        missing = [k for k in CONFIG_KEYS if f"`{k}`" not in text]
+        assert not missing
 
     def test_variant_tags(self):
         base = resolve_config({}, {})

@@ -199,33 +199,47 @@ class TestLosses:
         loss = M.exc_loss(mu_a, mu_x, mu_a, mu_x, cfg)
         assert loss.value[0, 0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_exclusion_drop_conditional_changes_value_not_grad(self):
-        n, d = 4, 3
-        rng = np.random.default_rng(12)
-        mu_a_val = rng.standard_normal((n, d))
-        mu_x_val = rng.standard_normal((n, d))
-        eps_a = rng.standard_normal((n, d))
-        eps_x = rng.standard_normal((n, d))
-        grads = {}
-        for drop in (False, True):
-            cfg = small_cfg(embed_dim=d, drop_conditional_terms=drop)
-            mu_a, mu_x = ad.Var(mu_a_val), ad.Var(mu_x_val)
-            z_a = M.reparameterize(mu_a, 1.0, eps_a)
-            z_x = M.reparameterize(mu_x, 1.0, eps_x)
-            ad.backward(M.exc_loss(mu_a, mu_x, z_a, z_x, cfg))
-            grads[drop] = (mu_a.grad.copy(), mu_x.grad.copy())
-        assert np.allclose(grads[False][0], grads[True][0], atol=1e-12)
-        assert np.allclose(grads[False][1], grads[True][1], atol=1e-12)
+    @staticmethod
+    def _sampled(cfg, n, d, seed):
+        rng = np.random.default_rng(seed)
+        mu_a, mu_x = ad.Var(rng.standard_normal((n, d))), ad.Var(rng.standard_normal((n, d)))
+        z_a = M.reparameterize(mu_a, cfg.sigma_enc, rng.standard_normal((n, d)))
+        z_x = M.reparameterize(mu_x, cfg.sigma_enc, rng.standard_normal((n, d)))
+        return mu_a, mu_x, z_a, z_x
 
-    def test_exclusion_drop_conditional_value(self):
+    def test_exclusion_conditional_terms_carry_no_gradient(self):
+        n, d = 4, 3
+        cfg = small_cfg(embed_dim=d, sigma_enc=0.7, prior_mean=0.3, prior_std=1.3)
+        grads = []
+        for prior_only in (False, True):
+            mu_a, mu_x, z_a, z_x = self._sampled(cfg, n, d, seed=12)
+            if prior_only:
+                p2 = cfg.prior_std ** 2
+                prior = ad.add(M._mean_log_normal(z_a, cfg.prior_mean, p2, d, n),
+                               M._mean_log_normal(z_x, cfg.prior_mean, p2, d, n))
+                loss = ad.scale(ad.scale(prior, -1.0), 0.5)
+            else:
+                loss = M.exc_loss(mu_a, mu_x, z_a, z_x, cfg)
+            ad.backward(loss)
+            grads.append((mu_a.grad.copy(), mu_x.grad.copy()))
+        assert np.array_equal(grads[0][0], grads[1][0])
+        assert np.array_equal(grads[0][1], grads[1][1])
+
+    def test_exclusion_value_closed_form(self):
         n, d = 5, 4
-        cfg = small_cfg(embed_dim=d, drop_conditional_terms=True)
-        mu_a = ad.Var(np.ones((n, d)))
-        mu_x = ad.Var(np.zeros((n, d)))
-        loss = M.exc_loss(mu_a, mu_x, mu_a, mu_x, cfg)
-        # -(prior_a + prior_x)/2 = (d log(2 pi) + 2) / 2
-        expected = 0.5 * (d * math.log(2 * math.pi) + 2.0)
-        assert loss.value[0, 0] == pytest.approx(expected, abs=1e-12)
+        cfg = small_cfg(embed_dim=d, sigma_enc=0.7, prior_mean=0.3, prior_std=1.3)
+        mu_a, mu_x, z_a, z_x = self._sampled(cfg, n, d, seed=13)
+        loss = M.exc_loss(mu_a, mu_x, z_a, z_x, cfg)
+
+        def mean_log_normal(z, mu, var):
+            return (-((z - mu) ** 2).sum() / (2 * var * n)
+                    - 0.5 * d * math.log(2 * math.pi * var))
+
+        s2, p2, m = cfg.sigma_enc ** 2, cfg.prior_std ** 2, cfg.prior_mean
+        expected = 0.5 * sum(mean_log_normal(z.value, mu.value, s2)
+                             - mean_log_normal(z.value, m, p2)
+                             for z, mu in ((z_a, mu_a), (z_x, mu_x)))
+        assert loss.value[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_total_loss_weighting(self):
         cfg = small_cfg(alpha=0.05, beta=0.8)
