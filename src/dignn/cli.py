@@ -4,8 +4,8 @@ Subcommands: train, eval, synth, gradcheck, export-embeddings.
 
 Exit codes: 0 success, 1 gradient-check failure, 2 usage/config error
 (including a split that cannot be formed and a metric left undefined by the
-split, e.g. a validation set with one class), 3 load error (graph or model),
-4 training divergence.
+split, e.g. a validation set with one class), 3 load error (graph or model,
+or a data file whose hash differs from the manifest's), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 
 from .errors import (
     DignnError, DivergenceError, GraphLoadError, SplitError, UndefinedMetricError,
@@ -50,14 +51,6 @@ class UsageError(DignnError):
     pass
 
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise UsageError(f"not a boolean: {s!r}")
-
-
 def read_config_file(path: str) -> dict:
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
@@ -72,25 +65,26 @@ def read_config_file(path: str) -> dict:
             key, value = (p.strip() for p in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            typ = CONFIG_KEYS[key]
             try:
-                out[key] = _parse_bool(value) if typ is bool else typ(value)
+                out[key] = CONFIG_KEYS[key](value)
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return out
 
 
-def read_manifest(path: str) -> tuple[dict, str]:
-    """The config and data directory of a manifest, with exactly the keys of
-    ``CONFIG_KEYS``, each holding a value of its type."""
+def read_manifest(path: str) -> tuple[dict, str, dict]:
+    """The config, data directory and input hashes of a manifest; the config
+    has exactly the keys of ``CONFIG_KEYS``, each holding a value of its type."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read manifest {path}: {exc}") from exc
     if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
-            and isinstance(manifest.get("data"), str)):
-        raise UsageError(f"{path}: a manifest needs a 'config' object and a 'data' path")
+            and isinstance(manifest.get("data"), str)
+            and isinstance(manifest.get("input_hashes"), dict)):
+        raise UsageError(f"{path}: a manifest needs a 'config' object, a 'data' "
+                         "path and an 'input_hashes' object")
     cfg = manifest["config"]
     missing = sorted(CONFIG_KEYS.keys() - cfg.keys())
     if missing:
@@ -101,7 +95,7 @@ def read_manifest(path: str) -> tuple[dict, str]:
     for key, typ in CONFIG_KEYS.items():
         if not (type(cfg[key]) is typ or (typ is float and type(cfg[key]) is int)):
             raise UsageError(f"{path}: bad value for {key}: {cfg[key]!r}")
-    return cfg, manifest["data"]
+    return cfg, manifest["data"], manifest["input_hashes"]
 
 
 def resolve_config(file_cfg: dict, cli_overrides: dict) -> dict:
@@ -142,6 +136,18 @@ def _write_json(obj, path: str):
         fh.write("\n")
 
 
+def _write_atomic(path: str, write):
+    """Have ``write`` fill a temp file beside ``path``, then move it into
+    place, so ``path`` holds either its old content or all of the new."""
+    tmp = path + ".tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _prepare_data(data_dir: str, cfg: dict):
     graph = load_graph(data_dir)
     ratios = (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"])
@@ -152,8 +158,9 @@ def _prepare_data(data_dir: str, cfg: dict):
 
 
 def cmd_train(args) -> int:
+    recorded = {}
     if args.manifest:
-        cfg, data_dir = read_manifest(args.manifest)
+        cfg, data_dir, recorded = read_manifest(args.manifest)
     else:
         if not args.data:
             raise UsageError("train requires --data (or --manifest)")
@@ -169,6 +176,11 @@ def cmd_train(args) -> int:
         tcfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    hashes = _hash_dir(data_dir)
+    for name in sorted(recorded):
+        if hashes.get(name) != recorded[name]:
+            raise GraphLoadError(f"{name} in {data_dir} is missing or differs "
+                                 "from the manifest's input hash")
     graph, split = _prepare_data(data_dir, cfg)
 
     os.makedirs(args.out, exist_ok=True)
@@ -180,25 +192,26 @@ def cmd_train(args) -> int:
         "seed": cfg["seed"],
         "data": data_dir,
         "outputs": {k: os.path.basename(v) for k, v in paths.items()},
-        "input_hashes": _hash_dir(data_dir),
+        "input_hashes": hashes,
         "variant": variant_tag(cfg),
     }
-    _write_json(manifest, paths["manifest"])
-
+    write_manifest = partial(_write_json, manifest)
     try:
         params, history = train(graph, split, tcfg)
     except DivergenceError as exc:
+        _write_atomic(paths["manifest"], write_manifest)
         if exc.history is not None:
-            exc.history.write_csv(paths["history"])
+            _write_atomic(paths["history"], exc.history.write_csv)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
-    params.save(paths["model"])
-    history.write_csv(paths["history"])
     report = evaluate(params, graph, split.test)
     payload = {"variant": variant_tag(cfg), "seed": cfg["seed"],
                "metrics": report.to_dict()}
-    _write_json(payload, paths["metrics"])
+    _write_atomic(paths["manifest"], write_manifest)
+    _write_atomic(paths["model"], params.save)
+    _write_atomic(paths["history"], history.write_csv)
+    _write_atomic(paths["metrics"], partial(_write_json, payload))
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 

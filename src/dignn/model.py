@@ -19,6 +19,7 @@ from .rng import generator
 
 MODEL_MAGIC = b"DIGNN\x00"
 MODEL_VERSION = 1
+MODEL_FLAG = 1  # header byte kept so that saved models stay readable; always 1
 
 
 @dataclass
@@ -30,7 +31,6 @@ class DignnConfig:
     sigma_enc: float = 1.0       # fixed sampling std of the encoder posteriors
     prior_mean: float = 0.0      # shared prior mean (per coordinate)
     prior_std: float = 1.0
-    shared_attention: bool = True     # one (q, W, b) for both views
 
     def validate(self):
         if self.embed_dim < 1 or self.hidden_dim < 1:
@@ -51,9 +51,7 @@ class ForwardOut:
     alpha_X: Var        # (b, 1)
     z: Var              # fused (b, d)
     logits: Var         # (b, 2)
-    x_A_hat: None = None  # (b, N) never formed; rec_loss works from h_A_dec
-    h_A_dec: Var | None = None  # topology decoder hidden layer (b, h)
-    x_X_hat: Var | None = None
+    x_A_hat: None = None  # (b, N) never formed; see rec_loss
 
 
 class DignnParams:
@@ -69,23 +67,18 @@ class DignnParams:
     @staticmethod
     def shape_spec(n_nodes: int, feat_dim: int, cfg: DignnConfig):
         d, h = cfg.embed_dim, cfg.hidden_dim
-        spec = [
+        return [
             ("enc_a_w1", (n_nodes, h)), ("enc_a_b1", (1, h)),
             ("enc_a_w2", (h, d)), ("enc_a_b2", (1, d)),
             ("enc_x_w1", (feat_dim, h)), ("enc_x_b1", (1, h)),
             ("enc_x_w2", (h, d)), ("enc_x_b2", (1, d)),
             ("att_w", (d, d)), ("att_b", (1, d)), ("att_q", (d, 1)),
-        ]
-        if not cfg.shared_attention:
-            spec += [("att_w_x", (d, d)), ("att_b_x", (1, d)), ("att_q_x", (d, 1))]
-        spec += [
             ("clf_w", (d, 2)), ("clf_b", (1, 2)),
             ("dec_a_w1", (d, h)), ("dec_a_b1", (1, h)),
             ("dec_a_w2", (h, n_nodes)), ("dec_a_b2", (1, n_nodes)),
             ("dec_x_w1", (d, h)), ("dec_x_b1", (1, h)),
             ("dec_x_w2", (h, feat_dim)), ("dec_x_b2", (1, feat_dim)),
         ]
-        return spec
 
     @classmethod
     def init(cls, n_nodes: int, feat_dim: int, cfg: DignnConfig, seed) -> "DignnParams":
@@ -122,7 +115,7 @@ class DignnParams:
                 "<6I", MODEL_VERSION, self.n_nodes, self.feat_dim,
                 self.cfg.embed_dim, self.cfg.hidden_dim, len(self.tensors),
             ))
-            fh.write(struct.pack("<B", int(self.cfg.shared_attention)))
+            fh.write(struct.pack("<B", MODEL_FLAG))
             for name, var in self.tensors.items():
                 raw = name.encode()
                 fh.write(struct.pack("<I", len(raw)))
@@ -144,8 +137,10 @@ class DignnParams:
             version, n, d_in, d, h, n_tensors = struct.unpack("<6I", read(fh, 24))
             if version != MODEL_VERSION:
                 raise GraphLoadError(f"unsupported model version {version}")
-            shared = bool(struct.unpack("<B", read(fh, 1))[0])
-            cfg = DignnConfig(embed_dim=d, hidden_dim=h, shared_attention=shared)
+            (flag,) = struct.unpack("<B", read(fh, 1))
+            if flag != MODEL_FLAG:
+                raise GraphLoadError(f"unsupported model flag byte {flag} in {path}")
+            cfg = DignnConfig(embed_dim=d, hidden_dim=h)
             tensors = OrderedDict()
             for _ in range(n_tensors):
                 (nlen,) = struct.unpack("<I", read(fh, 4))
@@ -213,13 +208,9 @@ def _attention_score(z: Var, w: Var, b: Var, q: Var) -> Var:
 def attention_fuse(params: DignnParams, z_a: Var, z_x: Var):
     """Per-node scalar scores, two-way softmax, convex combination. The
     softmax over two scores is alpha_A = sigmoid(s_A - s_X), alpha_X = 1 - alpha_A."""
-    s_a = _attention_score(z_a, params["att_w"], params["att_b"], params["att_q"])
-    if params.cfg.shared_attention:
-        s_x = _attention_score(z_x, params["att_w"], params["att_b"], params["att_q"])
-    else:
-        s_x = _attention_score(
-            z_x, params["att_w_x"], params["att_b_x"], params["att_q_x"]
-        )
+    w, b, q = params["att_w"], params["att_b"], params["att_q"]
+    s_a = _attention_score(z_a, w, b, q)
+    s_x = _attention_score(z_x, w, b, q)
     alpha_a = ad.sigmoid(ad.add(s_a, ad.scale(s_x, -1.0)))
     alpha_x = ad.add_const(ad.scale(alpha_a, -1.0), 1.0)
     fused = ad.add(ad.mul(alpha_a, z_a), ad.mul(alpha_x, z_x))
@@ -231,8 +222,8 @@ def classify(params: DignnParams, z: Var) -> Var:
 
 
 def forward(params: DignnParams, batch: BatchSubgraph, cfg: DignnConfig,
-            eps_a: np.ndarray | None = None, eps_x: np.ndarray | None = None,
-            with_reconstruction: bool = False) -> ForwardOut:
+            eps_a: np.ndarray | None = None,
+            eps_x: np.ndarray | None = None) -> ForwardOut:
     """Full forward pass. Pass eps arrays to use sampled embeddings
     (training); omit them for the deterministic mean path (evaluation)."""
     mu_a, mu_x = encode_views(params, batch)
@@ -240,25 +231,23 @@ def forward(params: DignnParams, batch: BatchSubgraph, cfg: DignnConfig,
     z_x_s = reparameterize(mu_x, cfg.sigma_enc, eps_x) if eps_x is not None else mu_x
     alpha_a, alpha_x, fused = attention_fuse(params, z_a_s, z_x_s)
     logits = classify(params, fused)
-    out = ForwardOut(
+    return ForwardOut(
         z_A=mu_a, z_X=mu_x, z_A_s=z_a_s, z_X_s=z_x_s,
         alpha_A=alpha_a, alpha_X=alpha_x, z=fused, logits=logits,
     )
-    if with_reconstruction:
-        out.h_A_dec = ad.relu(ad.add(ad.matmul(z_a_s, params["dec_a_w1"]),
-                                     params["dec_a_b1"]))
-        out.x_X_hat = mlp2(z_x_s, params["dec_x_w1"], params["dec_x_b1"],
-                           params["dec_x_w2"], params["dec_x_b2"])
-    return out
 
 
 def rec_loss(batch: BatchSubgraph, params: DignnParams, out: ForwardOut) -> Var:
-    """Decoder mean-squared errors against the two original views. The
-    topology decoder's output layer is folded into the loss, so its
-    (b, N) reconstruction is never formed."""
-    topo = ad.sparse_target_mse(out.h_A_dec, params["dec_a_w2"],
-                                params["dec_a_b2"], batch.topo_rows)
-    return ad.add(topo, ad.mse(out.x_X_hat, batch.features))
+    """Decoder mean-squared errors of the sampled embeddings against the
+    two original views. The topology decoder's output layer is folded into
+    the loss, so its (b, N) reconstruction is never formed."""
+    h_a = ad.relu(ad.add(ad.matmul(out.z_A_s, params["dec_a_w1"]),
+                         params["dec_a_b1"]))
+    topo = ad.sparse_target_mse(h_a, params["dec_a_w2"], params["dec_a_b2"],
+                                batch.topo_rows)
+    x_hat = mlp2(out.z_X_s, params["dec_x_w1"], params["dec_x_b1"],
+                 params["dec_x_w2"], params["dec_x_b2"])
+    return ad.add(topo, ad.mse(x_hat, batch.features))
 
 
 def _mean_log_normal(z: Var, mu: float, var: float, dim: int, n: int) -> Var:

@@ -89,10 +89,9 @@ def _batch_losses(params: DignnParams, batch, cfg: TrainConfig, rng):
     b = batch.node_ids.size
     eps_a = rng.standard_normal((b, mcfg.embed_dim))
     eps_x = rng.standard_normal((b, mcfg.embed_dim))
-    full = cfg.ablation == "full"
-    out = M.forward(params, batch, mcfg, eps_a, eps_x, with_reconstruction=full)
+    out = M.forward(params, batch, mcfg, eps_a, eps_x)
     ce = ad.ce_with_logits(out.logits, batch.labels)
-    if not full:
+    if cfg.ablation != "full":
         return out, ce, None, None, ce
     rec = M.rec_loss(batch, params, out)
     exc = M.exc_loss(out.z_A, out.z_X, out.z_A_s, out.z_X_s, mcfg)
@@ -179,8 +178,9 @@ def _toy_graph(seed=7) -> FraudGraph:
 
 def gradcheck(model_cfg: DignnConfig | None = None, h: float = 1e-5,
               seed: int = 7, corrupt: str | None = None) -> dict:
-    """Compare analytic gradients of the full training loss against central
-    finite differences on a 6-node toy; returns per-tensor relative errors.
+    """Compare analytic gradients of the full training loss (``_batch_losses``
+    under ``ablation = full``) against central finite differences on a 6-node
+    toy; returns per-tensor relative errors.
 
     ``corrupt`` flips the sign of one tensor's analytic gradient (test hook).
     """
@@ -189,16 +189,12 @@ def gradcheck(model_cfg: DignnConfig | None = None, h: float = 1e-5,
     batch = gather_batch(graph, np.arange(6))
     rng = generator(seed)
     params = DignnParams.init(6, 4, mcfg, rng.integers(2 ** 32))
-    eps_a = rng.standard_normal((6, mcfg.embed_dim))
-    eps_x = rng.standard_normal((6, mcfg.embed_dim))
+    cfg = TrainConfig(model=mcfg)
+    noise_state = rng.bit_generator.state
 
     def loss_var():
-        out = M.forward(params, batch, mcfg, eps_a, eps_x,
-                        with_reconstruction=True)
-        ce = ad.ce_with_logits(out.logits, batch.labels)
-        rec = M.rec_loss(batch, params, out)
-        exc = M.exc_loss(out.z_A, out.z_X, out.z_A_s, out.z_X_s, mcfg)
-        return M.total_loss(ce, rec, exc, mcfg)
+        rng.bit_generator.state = noise_state  # the same eps on every call
+        return _batch_losses(params, batch, cfg, rng)[-1]
 
     loss = loss_var()
     for v in params.tensors.values():

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from dignn.autodiff import Var
 from dignn.cli import (
     CONFIG_KEYS, EXIT_DIVERGENCE, EXIT_GRADCHECK, EXIT_LOAD, EXIT_OK, EXIT_USAGE,
-    UsageError, build_train_config, main, read_config_file, resolve_config,
-    variant_tag,
+    UsageError, _write_atomic, build_train_config, main, read_config_file,
+    resolve_config, variant_tag,
 )
 from dignn.model import DignnConfig, DignnParams
 from dignn.trainer import TrainConfig
@@ -58,6 +59,21 @@ class TestTrain:
     def test_writes_all_artifacts(self, trained_run):
         for name in ("manifest.json", "model.bin", "history.csv", "metrics.json"):
             assert os.path.isfile(os.path.join(trained_run, name))
+        assert len(os.listdir(trained_run)) == 4  # and no temp file
+
+    def test_failed_write_keeps_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        path.write_text("old")
+
+        def broken(p):
+            with open(p, "w") as fh:
+                fh.write("half")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _write_atomic(str(path), broken)
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["metrics.json"]
 
     def test_metrics_payload(self, trained_run):
         with open(os.path.join(trained_run, "metrics.json")) as fh:
@@ -86,7 +102,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("case", [
         "missing_file", "directory", "not_json", "no_config", "missing_key",
-        "unknown_key", "dropped_knob", "wrong_type",
+        "unknown_key", "dropped_knob", "shared_attention", "hashes_not_object",
+        "wrong_type",
     ])
     def test_bad_manifest_is_usage_error(self, trained_run, tmp_path, capsys, case):
         with open(os.path.join(trained_run, "manifest.json")) as fh:
@@ -113,6 +130,12 @@ class TestTrain:
             elif case == "dropped_knob":  # a manifest written before the knob went
                 cfg["drop_conditional_terms"] = False
                 named = "drop_conditional_terms"
+            elif case == "shared_attention":  # written before the fork went
+                cfg["shared_attention"] = True
+                named = "shared_attention"
+            elif case == "hashes_not_object":
+                manifest["input_hashes"] = ["meta.json"]
+                named = "input_hashes"
             else:
                 cfg["epochs"] = "3"
                 named = "epochs"
@@ -124,6 +147,24 @@ class TestTrain:
         if named:
             assert named in err
         assert not (tmp_path / "o").exists()
+
+    def test_changed_input_is_load_error(self, trained_run, data_dir, tmp_path,
+                                         capsys):
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir, copy)
+        blob = bytearray((copy / "features.f32le").read_bytes())
+        blob[0] ^= 1
+        (copy / "features.f32le").write_bytes(bytes(blob))
+        with open(os.path.join(trained_run, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        manifest["data"] = str(copy)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        code = main(["train", "--manifest", str(path), "--out", str(out)])
+        assert code == EXIT_LOAD
+        assert "features.f32le" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--out", str(tmp_path / "o")])
@@ -142,7 +183,7 @@ class TestTrain:
             code = main(["train", "--data", data_dir, "--config", str(cfg),
                          "--out", out])
         assert code == EXIT_DIVERGENCE
-        assert os.path.isfile(os.path.join(out, "manifest.json"))
+        assert sorted(os.listdir(out)) == ["history.csv", "manifest.json"]
 
     def test_non_numeric_config_value_is_usage_error(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -168,13 +209,17 @@ class TestTrain:
         assert "ratios" in capsys.readouterr().err
 
     def test_split_error_leaves_no_manifest(self, data_dir, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("train_ratio = 0.5\nval_ratio = 0.5\ntest_ratio = 0.5\n")
-        out = tmp_path / "o"
-        code = main(["train", "--data", data_dir, "--config", str(cfg),
-                     "--epochs", "1", "--out", str(out)])
-        assert code == EXIT_USAGE
-        assert not (out / "manifest.json").exists()
+        # A split that cannot be formed, and one whose validation set holds
+        # one class, so that training stops at its first validation.
+        for i, ratios in enumerate(((0.5, 0.5, 0.5), (0.98, 0.01, 0.01))):
+            cfg = tmp_path / f"cfg{i}.txt"
+            cfg.write_text("train_ratio = {}\nval_ratio = {}\ntest_ratio = {}\n"
+                           .format(*ratios))
+            out = tmp_path / f"o{i}"
+            code = main(["train", "--data", data_dir, "--config", str(cfg),
+                         "--epochs", "1", "--batch-size", "64", "--out", str(out)])
+            assert code == EXIT_USAGE
+            assert not (out / "manifest.json").exists()
 
     def test_undefined_validation_metric_is_usage_error(self, data_dir, tmp_path,
                                                         capsys):
@@ -224,6 +269,16 @@ class TestEval:
         assert code == EXIT_LOAD
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_flag_byte_other_than_one_is_load_error(self, trained_run, data_dir,
+                                                    tmp_path, capsys):
+        blob = bytearray(open(os.path.join(trained_run, "model.bin"), "rb").read())
+        assert blob[30] == 1  # after the 6-byte magic and six uint32 fields
+        blob[30] = 0
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(bytes(blob))
+        code = main(["eval", "--model", str(bad), "--data", data_dir])
+        assert code == EXIT_LOAD
+        assert "flag" in capsys.readouterr().err
 
     def test_wrong_tensor_shape_is_load_error(self, trained_run, data_dir, tmp_path,
                                               capsys):
@@ -270,21 +325,17 @@ class TestExportEmbeddings:
 class TestConfigHandling:
     def test_read_config_file(self, tmp_path):
         p = tmp_path / "c.txt"
-        p.write_text("epochs = 7  # comment\nbeta=0.2\nshared_attention = false\n")
+        p.write_text("epochs = 7  # comment\nbeta=0.2\nablation = no_mi\n")
         cfg = read_config_file(str(p))
-        assert cfg == {"epochs": 7, "beta": 0.2, "shared_attention": False}
+        assert cfg == {"epochs": 7, "beta": 0.2, "ablation": "no_mi"}
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "c.txt"
-        p.write_text("learning_rate = 0.1\n")
-        with pytest.raises(UsageError, match="unknown key"):
-            read_config_file(str(p))
-
-    def test_bad_boolean(self, tmp_path):
-        p = tmp_path / "c.txt"
-        p.write_text("shared_attention = maybe\n")
-        with pytest.raises(UsageError, match="boolean"):
-            read_config_file(str(p))
+        # learning_rate never existed; the other two were removed knobs.
+        for key in ("learning_rate", "drop_conditional_terms", "shared_attention"):
+            p.write_text(f"{key} = 0\n")
+            with pytest.raises(UsageError, match=f"unknown key '{key}'"):
+                read_config_file(str(p))
 
     def test_precedence_defaults_file_cli(self):
         cfg = resolve_config({"epochs": 7, "beta": 0.2}, {"epochs": 9, "seed": None})
