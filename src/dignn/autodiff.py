@@ -3,8 +3,8 @@
 Every value is a 2-D numpy array (scalars are 1x1). The graph is rebuilt on
 every forward pass (define-by-run): each op returns a new Var that remembers
 its parents and a closure that pushes the incoming gradient back to them.
-Sparse matrices (scipy CSR) only ever appear as constant left operands of
-``sparse_dense_matmul``; gradients never flow into them.
+Sparse matrices (scipy CSR) only ever appear as constants, the left operand
+of ``sparse_dense_matmul`` or the target of ``sparse_target_mse``.
 """
 
 from __future__ import annotations
@@ -210,11 +210,12 @@ def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
     """mean((h @ w + b - target)**2) for a constant sparse target, without
     forming the (rows, cols) prediction.
 
-    With Y = h w + 1 b and A = target, ||Y - A||^2 = ||Y||^2 - 2<Y, A> + ||A||^2.
-    ||Y||^2 comes from the Gram matrix h^T h, and <Y, A> from A^T h and the
-    column sums of A, so the cost is O(cols * k^2 + nnz * k) for k = h's width.
-    The gradients take the same closed form (the Gramian identity of
-    implicit-feedback matrix factorization).
+    With h1 = [h | 1], W1 = [w; b] and A = target, the prediction is h1 W1 and
+    ||h1 W1 - A||^2 = <h1^T h1, W1 W1^T> - 2<h1, A W1^T> + ||A||^2, so the
+    forward needs only (k+1)-wide products, and A W1^T reads only the columns
+    that A uses. The gradients take the same closed form (the Gramian identity
+    of implicit-feedback matrix factorization): dh1 = c(h1 W1 W1^T - A W1^T)
+    and dW1 = c(h1^T h1 W1 - h1^T A).
     """
     rows, k = h.value.shape
     cols = w.value.shape[1]
@@ -223,33 +224,29 @@ def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
             f"sparse_target_mse: h {h.value.shape}, w {w.value.shape}, "
             f"b {b.value.shape}, target {target.shape}"
         )
-    target = sp.csr_matrix(target, dtype=np.float64)
-    hv, wv, bv = h.value, w.value, b.value
-    gram = hv.T @ hv                                 # (k, k)
-    hsum = hv.sum(axis=0, keepdims=True)             # 1^T h, (1, k)
-    gram_w = gram @ wv                               # (k, cols)
-    hta = np.asarray(target.T @ hv).T                # h^T A, (k, cols)
-    colsum = np.asarray(target.sum(axis=0))          # 1^T A, (1, cols)
-    hsum_w = hsum @ wv                               # (1, cols)
-    y_sq = (float((wv * gram_w).sum()) + 2.0 * float((hsum_w * bv).sum())
-            + rows * float((bv * bv).sum()))
-    y_dot_a = float((wv * hta).sum()) + float((colsum * bv).sum())
+    target = sp.csr_matrix(target, dtype=np.float64, copy=True)
+    target.sum_duplicates()  # ||A||^2 = sum(data^2) holds for unique entries only
+    used, col_of = np.unique(target.indices, return_inverse=True)
+    a_used = sp.csr_matrix((target.data, col_of, target.indptr), shape=(rows, used.size))
+    h1 = np.hstack([h.value, np.ones((rows, 1))])    # (rows, k+1)
+    w1 = np.vstack([w.value, b.value])               # (k+1, cols)
+    w1w1 = w1 @ w1.T                                 # (k+1, k+1)
+    aw1 = a_used @ w1[:, used].T                     # A W1^T, (rows, k+1)
+    gram = h1.T @ h1                                 # (k+1, k+1)
     a_sq = float((target.data * target.data).sum())
     n = rows * cols
-    out = Var(np.array([[(y_sq - 2.0 * y_dot_a + a_sq) / n]]), parents=(h, w, b))
+    loss = float((gram * w1w1).sum()) - 2.0 * float((h1 * aw1).sum()) + a_sq
+    out = Var(np.array([[loss / n]]), parents=(h, w, b))
 
     def bwd(g):
         c = 2.0 * g[0, 0] / n
-        dh = hv @ (wv @ wv.T)
-        dh += bv @ wv.T
-        dh -= np.asarray(target @ wv.T)
-        dh *= c
-        h.grad += dh
-        dw = gram_w - hta
-        dw += hsum.T @ bv
-        dw *= c
-        w.grad += dw
-        b.grad += c * (hsum_w + rows * bv - colsum)
+        h.grad += c * (h1 @ w1w1 - aw1)[:, :k]
+        dw1 = (c * gram) @ w1
+        h1ta = (a_used.T @ h1).T                     # h1^T A on the used columns
+        for row, sub in zip(dw1, h1ta):
+            row[used] -= c * sub
+        w.grad += dw1[:k]
+        b.grad += dw1[k:]
 
     out._backward = bwd
     return out

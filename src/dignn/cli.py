@@ -2,10 +2,10 @@
 
 Subcommands: train, eval, synth, gradcheck, export-embeddings.
 
-Exit codes: 0 success, 1 gradient-check failure, 2 usage/config error
-(including a split that cannot be formed and a metric left undefined by the
-split, e.g. a validation set with one class), 3 load error (graph or model,
-or a data file whose hash differs from the manifest's), 4 training divergence.
+Exit codes: 0 success, 1 gradient-check failure, 2 usage/config error (also an
+unformable split, a metric the split leaves undefined, or an --out that cannot
+be written), 3 load error (graph or model, or a data file whose hash differs
+from the manifest's), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -148,6 +148,15 @@ def _write_atomic(path: str, write):
             os.remove(tmp)
 
 
+def _output(path: str, act):
+    """``act(path)`` on an output path the user named; an OS error there
+    (a missing directory, a file where a directory should be) is a usage error."""
+    try:
+        act(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _prepare_data(data_dir: str, cfg: dict):
     graph = load_graph(data_dir)
     ratios = (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"])
@@ -183,7 +192,7 @@ def cmd_train(args) -> int:
                                  "from the manifest's input hash")
     graph, split = _prepare_data(data_dir, cfg)
 
-    os.makedirs(args.out, exist_ok=True)
+    _output(args.out, partial(os.makedirs, exist_ok=True))
     paths = {name: os.path.join(args.out, fn) for name, fn in (
         ("manifest", "manifest.json"), ("model", "model.bin"),
         ("history", "history.csv"), ("metrics", "metrics.json"))}
@@ -216,25 +225,25 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_for(graph, model_path: str) -> DignnParams:
-    params = DignnParams.load(model_path)
+def _load_model_for(args):
+    """The ``--data`` graph and its ``--seed`` split, and the ``--model`` for it."""
+    graph, split = _prepare_data(args.data, resolve_config({}, {"seed": args.seed}))
+    params = DignnParams.load(args.model)
     if params.n_nodes != graph.num_nodes or params.feat_dim != graph.feature_dim:
         raise GraphLoadError(
             f"model dims ({params.n_nodes}, {params.feat_dim}) do not match "
             f"graph ({graph.num_nodes}, {graph.feature_dim})"
         )
-    return params
+    return graph, split, params
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve_config({}, {"seed": args.seed})
-    graph, split = _prepare_data(args.data, cfg)
-    params = _load_model_for(graph, args.model)
+    graph, split, params = _load_model_for(args)
     report = evaluate(params, graph, split.test)
-    payload = {"seed": cfg["seed"], "metrics": report.to_dict()}
+    payload = {"seed": args.seed, "metrics": report.to_dict()}
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        _write_json(payload, args.out)
+        _output(args.out, partial(_write_atomic, write=partial(_write_json, payload)))
     return EXIT_OK
 
 
@@ -248,7 +257,7 @@ def cmd_synth(args) -> int:
         graph = synth_generate(cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    save_graph(graph, args.out)
+    _output(args.out, partial(save_graph, graph))
     dist = neighbor_label_distribution(graph)
     names = {0: "benign", 1: "fraud"}
     printable = {
@@ -278,18 +287,20 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    cfg = resolve_config({}, {"seed": args.seed})
-    graph, _split = _prepare_data(args.data, cfg)
-    params = _load_model_for(graph, args.model)
+    graph, _split, params = _load_model_for(args)
     ids = graph.labeled_ids()
     batch = gather_batch(graph, ids)
     out = M.forward(params, batch, params.cfg)
     z = out.z.value
-    with open(args.out, "w") as fh:
-        fh.write("node_id,label," +
-                 ",".join(f"z{i}" for i in range(z.shape[1])) + "\n")
-        for nid, lab, row in zip(ids, batch.labels, z):
-            fh.write(f"{nid},{lab}," + ",".join(repr(float(x)) for x in row) + "\n")
+
+    def write(path):
+        with open(path, "w") as fh:
+            fh.write("node_id,label," +
+                     ",".join(f"z{i}" for i in range(z.shape[1])) + "\n")
+            for nid, lab, row in zip(ids, batch.labels, z):
+                fh.write(f"{nid},{lab}," + ",".join(repr(float(x)) for x in row) + "\n")
+
+    _output(args.out, partial(_write_atomic, write=write))
     return EXIT_OK
 
 
@@ -357,9 +368,6 @@ def main(argv=None) -> int:
     except GraphLoadError as exc:
         print(f"load error: {exc}", file=sys.stderr)
         return EXIT_LOAD
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
 
 
 if __name__ == "__main__":

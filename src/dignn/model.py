@@ -131,7 +131,11 @@ class DignnParams:
                 raise GraphLoadError(f"truncated model file: {path}")
             return buf
 
-        with open(path, "rb") as fh:
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise GraphLoadError(f"cannot open model file {path}: {exc}") from exc
+        with fh:
             if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
                 raise GraphLoadError(f"not a model file: {path}")
             version, n, d_in, d, h, n_tensors = struct.unpack("<6I", read(fh, 24))

@@ -242,11 +242,17 @@ def _sparse_targets(rows, cols, seed):
     empty_rows = sp.random(rows, cols, density=0.5, random_state=seed + 2,
                            format="lil")
     empty_rows[::2] = 0.0
+    # Not in canonical form: entry (0, 1) is stored twice, and the matrix
+    # holds the sum of the two.
+    data, indices = np.array([0.7, 0.4, -1.2, 2.0]), np.array([1, 1, 4, 0])
+    indptr = np.array([0, 3, 3] + [4] * (rows - 2))
+    duplicates = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
     return {
         "binary": binary,
         "weighted": weighted,
         "empty_rows": sp.csr_matrix(empty_rows),
         "all_zero": sp.csr_matrix((rows, cols)),
+        "duplicates": duplicates,
     }
 
 
@@ -266,11 +272,14 @@ class TestSparseTargetMse:
         ad.backward(ad.scale(loss, 1.7))  # an upstream gradient other than 1
         return [loss.value] + [v.grad for v in leaves]
 
-    @pytest.mark.parametrize("kind", ["binary", "weighted", "empty_rows", "all_zero"])
+    @pytest.mark.parametrize("kind", ["binary", "weighted", "empty_rows", "all_zero",
+                                      "duplicates"])
     def test_matches_dense_mse(self, kind):
         target = _sparse_targets(self.ROWS, self.COLS, 3)[kind]
+        stored = target.nnz
         values = self._leaves(4)
         got = self._run(lambda h, w, b: ad.sparse_target_mse(h, w, b, target), values)
+        assert target.nnz == stored  # the caller's matrix is left as it was
         want = self._run(lambda h, w, b: ad.mse(ad.add(ad.matmul(h, w), b),
                                                 target.toarray()), values)
         for g, d in zip(got, want):
@@ -299,8 +308,11 @@ class TestSparseTargetMse:
             ad.sparse_target_mse(ad.Var(np.ones(h)), ad.Var(np.ones(w)),
                                  ad.Var(np.ones(b)), sp.csr_matrix(t))
 
-    def test_never_allocates_dense_output(self):
-        rows, k, cols = 256, 16, 20_000
+    PEAK_ROWS, PEAK_K, PEAK_COLS = 256, 16, 20_000
+
+    def _peak_bytes(self):
+        """Traced peak of one forward plus backward, leaves and grads excluded."""
+        rows, k, cols = self.PEAK_ROWS, self.PEAK_K, self.PEAK_COLS
         rng = np.random.default_rng(0)
         target = sp.random(rows, cols, density=10 / cols, random_state=0, format="csr")
         h = ad.Var(rng.standard_normal((rows, k)))
@@ -312,7 +324,16 @@ class TestSparseTargetMse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * rows * cols * 8
+        return peak
+
+    def test_never_allocates_dense_output(self):
+        assert self._peak_bytes() < 0.5 * self.PEAK_ROWS * self.PEAK_COLS * 8
+
+    def test_peak_is_a_few_augmented_weight_copies(self):
+        # The augmented weights [w; b] and their gradient are one (k+1, cols)
+        # array each; nothing else of that size may be live at once.
+        unit = (self.PEAK_K + 1) * self.PEAK_COLS * 8
+        assert self._peak_bytes() <= 2.5 * unit
 
 
 class TestBackward:

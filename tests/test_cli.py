@@ -54,6 +54,14 @@ class TestSynth:
         code = main(["synth", "--fraud-rate", "0", "--out", str(tmp_path / "g")])
         assert code == EXIT_USAGE
 
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        out.write_text("keep")
+        code = main(["synth", "--n", "100", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "keep"
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, trained_run):
@@ -221,6 +229,14 @@ class TestTrain:
             assert code == EXIT_USAGE
             assert not (out / "manifest.json").exists()
 
+    def test_out_naming_a_file_is_usage_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("keep")
+        code = main(["train", "--data", data_dir, "--epochs", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "keep"
+
     def test_undefined_validation_metric_is_usage_error(self, data_dir, tmp_path,
                                                         capsys):
         cfg = tmp_path / "cfg.txt"
@@ -232,14 +248,31 @@ class TestTrain:
 
 
 class TestEval:
-    def test_eval_trained_model(self, trained_run, data_dir, capsys):
+    def test_eval_trained_model(self, trained_run, data_dir, tmp_path, capsys):
+        out = tmp_path / "eval.json"
         code = main(["eval", "--model", os.path.join(trained_run, "model.bin"),
-                     "--data", data_dir, "--seed", "0"])
+                     "--data", data_dir, "--seed", "0", "--out", str(out)])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         with open(os.path.join(trained_run, "metrics.json")) as fh:
             trained = json.load(fh)
         assert payload["metrics"]["auc"] == trained["metrics"]["auc"]
+        assert json.loads(out.read_text()) == payload
+        assert os.listdir(tmp_path) == ["eval.json"]
+
+    def test_missing_model_is_load_error(self, data_dir, tmp_path, capsys):
+        model = str(tmp_path / "nope.bin")
+        code = main(["eval", "--model", model, "--data", data_dir])
+        assert code == EXIT_LOAD
+        assert model in capsys.readouterr().err
+
+    def test_out_in_missing_directory_is_usage_error(self, trained_run, data_dir,
+                                                     tmp_path, capsys):
+        out = str(tmp_path / "absent" / "eval.json")
+        code = main(["eval", "--model", os.path.join(trained_run, "model.bin"),
+                     "--data", data_dir, "--out", out])
+        assert code == EXIT_USAGE
+        assert out in capsys.readouterr().err
 
     def test_dimension_mismatch_is_load_error(self, trained_run, tmp_path, capsys):
         other = str(tmp_path / "g2")
@@ -320,6 +353,24 @@ class TestExportEmbeddings:
         row = lines[1].split(",")
         assert len(row) == len(header)
         float(row[2])  # embedding entries parse as floats
+        assert os.listdir(tmp_path) == ["emb.csv"]
+
+    def test_missing_model_is_load_error(self, data_dir, tmp_path, capsys):
+        model = str(tmp_path / "nope.bin")
+        code = main(["export-embeddings", "--model", model, "--data", data_dir,
+                     "--out", str(tmp_path / "emb.csv")])
+        assert code == EXIT_LOAD
+        assert model in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_out_in_missing_directory_is_usage_error(self, trained_run, data_dir,
+                                                     tmp_path, capsys):
+        out = str(tmp_path / "absent" / "emb.csv")
+        code = main(["export-embeddings",
+                     "--model", os.path.join(trained_run, "model.bin"),
+                     "--data", data_dir, "--out", out])
+        assert code == EXIT_USAGE
+        assert out in capsys.readouterr().err
 
 
 class TestConfigHandling:
