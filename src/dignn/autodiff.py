@@ -27,13 +27,14 @@ def _as_matrix(x) -> np.ndarray:
 
 
 class Var:
-    """A node in the computation graph: value, gradient slot, parent links."""
+    """A node in the computation graph: value, gradient (``None`` until a
+    backward pass writes it; see ``backward``), parent links."""
 
     __slots__ = ("value", "grad", "parents", "_backward")
 
     def __init__(self, value, parents=(), backward=None):
         self.value = _as_matrix(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
         self.parents = tuple(parents)
         self._backward = backward
 
@@ -42,15 +43,28 @@ class Var:
         return self.value.shape
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        self.grad = None
 
     def __repr__(self):
         return f"Var(shape={self.value.shape}, leaf={not self.parents})"
 
 
 def constant(x) -> Var:
-    """A leaf Var; its grad slot exists but nothing reads it."""
+    """A leaf Var. Like every Var an op reads, it receives a grad during
+    ``backward`` (allocated by the first write), which nothing reads."""
     return Var(x)
+
+
+def _accumulate(v: Var, d: np.ndarray, shared: bool = False) -> None:
+    """Add the contribution ``d`` to ``v.grad``. The first write assigns
+    ``d`` itself, later ones add into it in place. ``shared`` marks a ``d``
+    that another Var may also hold (an upstream grad passed through
+    unchanged); it is copied on assignment so that no two Vars share a grad
+    buffer."""
+    if v.grad is None:
+        v.grad = d.copy() if shared else d
+    else:
+        v.grad += d
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -75,8 +89,9 @@ def add(a: Var, b: Var) -> Var:
     out = Var(a.value + b.value, parents=(a, b))
 
     def bwd(g):
-        a.grad += _unbroadcast(g, a.value.shape)
-        b.grad += _unbroadcast(g, b.value.shape)
+        for v in (a, b):
+            d = _unbroadcast(g, v.value.shape)
+            _accumulate(v, d, shared=d is g)
 
     out._backward = bwd
     return out
@@ -89,8 +104,8 @@ def mul(a: Var, b: Var) -> Var:
     out = Var(a.value * b.value, parents=(a, b))
 
     def bwd(g):
-        a.grad += _unbroadcast(g * b.value, a.value.shape)
-        b.grad += _unbroadcast(g * a.value, b.value.shape)
+        _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
+        _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
 
     out._backward = bwd
     return out
@@ -102,7 +117,8 @@ def add_const(a: Var, c) -> Var:
     out = Var(a.value + c, parents=(a,))
 
     def bwd(g):
-        a.grad += _unbroadcast(g, a.value.shape)
+        d = _unbroadcast(g, a.value.shape)
+        _accumulate(a, d, shared=d is g)
 
     out._backward = bwd
     return out
@@ -113,7 +129,7 @@ def scale(a: Var, s: float) -> Var:
     out = Var(a.value * s, parents=(a,))
 
     def bwd(g):
-        a.grad += g * s
+        _accumulate(a, g * s)
 
     out._backward = bwd
     return out
@@ -123,7 +139,7 @@ def square(a: Var) -> Var:
     out = Var(a.value * a.value, parents=(a,))
 
     def bwd(g):
-        a.grad += 2.0 * a.value * g
+        _accumulate(a, 2.0 * a.value * g)
 
     out._backward = bwd
     return out
@@ -135,8 +151,8 @@ def matmul(a: Var, b: Var) -> Var:
     out = Var(a.value @ b.value, parents=(a, b))
 
     def bwd(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        _accumulate(a, g @ b.value.T)
+        _accumulate(b, a.value.T @ g)
 
     out._backward = bwd
     return out
@@ -149,7 +165,7 @@ def sparse_dense_matmul(s: sp.csr_matrix, b: Var) -> Var:
     out = Var(np.asarray(s @ b.value), parents=(b,))
 
     def bwd(g):
-        b.grad += np.asarray(s.T @ g)
+        _accumulate(b, np.asarray(s.T @ g))
 
     out._backward = bwd
     return out
@@ -160,7 +176,7 @@ def _unary(v: Var, y: np.ndarray, dy: np.ndarray) -> Var:
     out = Var(y, parents=(v,))
 
     def bwd(g):
-        v.grad += g * dy
+        _accumulate(v, g * dy)
 
     out._backward = bwd
     return out
@@ -184,7 +200,7 @@ def sum_all(v: Var) -> Var:
     out = Var(np.array([[v.value.sum()]]), parents=(v,))
 
     def bwd(g):
-        v.grad += g[0, 0]
+        _accumulate(v, np.full(v.value.shape, g[0, 0]))
 
     out._backward = bwd
     return out
@@ -200,7 +216,7 @@ def mse(pred: Var, target) -> Var:
     out = Var(np.array([[float((diff * diff).sum()) / n]]), parents=(pred,))
 
     def bwd(g):
-        pred.grad += (2.0 / n) * diff * g[0, 0]
+        _accumulate(pred, (2.0 / n) * diff * g[0, 0])
 
     out._backward = bwd
     return out
@@ -240,13 +256,12 @@ def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
 
     def bwd(g):
         c = 2.0 * g[0, 0] / n
-        h.grad += c * (h1 @ w1w1 - aw1)[:, :k]
+        _accumulate(h, c * (h1 @ w1w1 - aw1)[:, :k])
         dw1 = (c * gram) @ w1
         h1ta = (a_used.T @ h1).T                     # h1^T A on the used columns
-        for row, sub in zip(dw1, h1ta):
-            row[used] -= c * sub
-        w.grad += dw1[:k]
-        b.grad += dw1[k:]
+        dw1[:, used] -= c * h1ta
+        _accumulate(w, dw1[:k])                      # disjoint views of dw1
+        _accumulate(b, dw1[k:])
 
     out._backward = bwd
     return out
@@ -272,7 +287,7 @@ def ce_with_logits(logits: Var, labels) -> Var:
     def bwd(g):
         delta = probs.copy()
         delta[np.arange(n), labels] -= 1.0
-        logits.grad += (g[0, 0] / n) * delta
+        _accumulate(logits, (g[0, 0] / n) * delta)
 
     out._backward = bwd
     return out
@@ -281,7 +296,13 @@ def ce_with_logits(logits: Var, labels) -> Var:
 def backward(loss: Var):
     """Populate .grad of everything reachable from a scalar loss.
 
-    Gradients accumulate across calls; zero leaf grads between steps.
+    A grad's lifecycle: ``None`` until the first write, which assigns the
+    contribution itself; later contributions (within this pass or from a
+    later call) are added into it in place; ``zero_grad`` sets it back to
+    ``None``. So a grad is never allocated just to be zero-filled, and after
+    the pass every Var reachable from ``loss`` through ``parents`` holds an
+    array of its value's shape, while a Var the loss does not read keeps
+    ``None``.
     """
     if loss.value.shape != (1, 1):
         raise DimensionError(f"backward: loss must be scalar, got {loss.value.shape}")
@@ -329,8 +350,8 @@ class Adam:
         self.eps = eps
         self.no_decay = frozenset(no_decay)
         self.t = 0
-        self.m = {k: np.zeros_like(v.value) for k, v in self.params.items()}
-        self.v = {k: np.zeros_like(v.value) for k, v in self.params.items()}
+        self.m = {k: np.zeros(v.shape) for k, v in self.params.items()}
+        self.v = {k: np.zeros(v.shape) for k, v in self.params.items()}
         self._scratch = np.empty((2, ADAM_CHUNK))
 
     def zero_grad(self):
@@ -338,7 +359,9 @@ class Adam:
             p.zero_grad()
 
     def step(self):
-        """Update every tensor in place, ``ADAM_CHUNK`` values at a time.
+        """Update every tensor that has a grad in place, ``ADAM_CHUNK``
+        values at a time; a tensor whose grad is ``None`` keeps its value and
+        moments.
 
         Each value takes, in this order, g = grad + wd*p,
         m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
@@ -351,6 +374,8 @@ class Adam:
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
+            if p.grad is None:
+                continue
             decay = self.weight_decay if name not in self.no_decay else 0.0
             state = (p.value, p.grad, self.m[name], self.v[name])
             flat = [a.reshape(-1) for a in state]

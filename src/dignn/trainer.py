@@ -118,8 +118,7 @@ def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
     epoch_seeds = streams["sample"].spawn(cfg.epochs)
 
     history = TrainHistory()
-    best_auc = -1.0
-    best_snap = params.snapshot()
+    best_auc, best_snap = -1.0, None
     for e in range(cfg.epochs):
         rng = generator(epoch_seeds[e])
         if cfg.mode == "fullbatch":
@@ -157,10 +156,12 @@ def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
         means = [float(x) for x in sums / n_seen]
         val = evaluate(params, graph, split.val)
         history.epochs.append(EpochRecord(*means, val=val))
-        if val.auc > best_auc:
+        if val.auc > best_auc:  # auc_rank lies in [0, 1], so epoch 1 passes
             best_auc = val.auc
-            best_snap = params.snapshot()
-    params.restore(best_snap)
+            # The last epoch's parameters are already where they end up.
+            best_snap = params.snapshot() if e + 1 < cfg.epochs else None
+    if best_snap is not None:
+        params.restore(best_snap)
     return params, history
 
 
@@ -196,11 +197,9 @@ def gradcheck(model_cfg: DignnConfig | None = None, h: float = 1e-5,
         rng.bit_generator.state = noise_state  # the same eps on every call
         return _batch_losses(params, batch, cfg, rng)[-1]
 
-    loss = loss_var()
-    for v in params.tensors.values():
-        v.zero_grad()
-    ad.backward(loss)
-    analytic = {n: v.grad.copy() for n, v in params.tensors.items()}
+    ad.backward(loss_var())
+    analytic = {n: np.zeros_like(v.value) if v.grad is None else v.grad
+                for n, v in params.tensors.items()}
     if corrupt is not None:
         analytic[corrupt] = -analytic[corrupt]
 

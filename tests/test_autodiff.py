@@ -343,10 +343,37 @@ class TestBackward:
         assert np.array_equal(x.grad, np.ones((3, 2)))
 
     def test_unused_parameter_gets_zero_grad(self):
+        # A grad is allocated by its first write; None reads as zero.
         x = ad.Var(np.ones((2, 2)))
         unused = ad.Var(np.ones((2, 2)))
         ad.backward(ad.sum_all(x))
-        assert np.array_equal(unused.grad, np.zeros((2, 2)))
+        assert unused.grad is None
+
+    def test_zero_grad_drops_the_grad(self):
+        x = ad.Var(np.ones((2, 2)))
+        ad.backward(ad.sum_all(x))
+        x.zero_grad()
+        assert x.grad is None
+
+    def test_shared_upstream_grad_is_not_aliased(self):
+        # Both operands of one add receive the add's incoming grad unchanged;
+        # a receives a second contribution through square. If a and b shared
+        # one buffer, that contribution would leak into b's grad.
+        rng = np.random.default_rng(3)
+        a_val, b_val = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+
+        def build(a_v, b_v):
+            a, b = ad.Var(a_v), ad.Var(b_v)
+            s = ad.add(a, b)
+            return ad.sum_all(ad.add(ad.tanh(s), ad.square(a))), a, b, s
+
+        loss, a, b, s = build(a_val, b_val)
+        ad.backward(loss)
+        assert len({id(v.grad) for v in (a, b, s)}) == 3
+        assert not np.shares_memory(a.grad, b.grad)
+        for var, val in ((a, a_val), (b, b_val)):
+            fd = fd_grad(lambda: float(build(a_val, b_val)[0].value[0, 0]), val)
+            assert rel_err(fd, var.grad) <= 1e-4
 
     def test_accumulation_without_zeroing(self):
         x = ad.Var(np.zeros((2, 2)))
@@ -407,7 +434,7 @@ class TestAdam:
     def test_first_step_delta(self):
         p = ad.Var([[0.0]])
         opt = ad.Adam({"p": p}, lr=0.001, weight_decay=0.0)
-        p.grad[...] = 1.0
+        p.grad = np.ones((1, 1))
         opt.step()
         assert p.value[0, 0] == pytest.approx(-0.001, rel=1e-6)
         assert opt.t == 1
@@ -415,18 +442,35 @@ class TestAdam:
     def test_zero_gradient_leaves_parameter(self):
         p = ad.Var([[1.5]])
         opt = ad.Adam({"p": p}, weight_decay=0.0)
+        p.grad = np.zeros((1, 1))
         opt.step()
         assert p.value[0, 0] == 1.5
+
+    def test_none_grad_skips_tensor(self):
+        rng = np.random.default_rng(5)
+        p = ad.Var(rng.standard_normal((3, 4)))
+        q = ad.Var(rng.standard_normal((1, 4)))
+        opt = ad.Adam({"p": p, "q": q}, lr=0.01, weight_decay=0.5)
+        p.grad, q.grad = rng.standard_normal((3, 4)), rng.standard_normal((1, 4))
+        opt.step()  # nonzero moments, so a skipped update would show
+        opt.zero_grad()
+        assert p.grad is None and q.grad is None
+        q.grad = rng.standard_normal((1, 4))
+        before = [a.copy() for a in (p.value, opt.m["p"], opt.v["p"])]
+        opt.step()
+        for a, b in zip(before, (p.value, opt.m["p"], opt.v["p"])):
+            assert np.array_equal(a, b)
+        assert p.grad is None and opt.t == 2
 
     def test_bias_correction_shrinks_step(self):
         p = ad.Var([[0.0]])
         opt = ad.Adam({"p": p}, lr=0.001, weight_decay=0.0)
-        p.grad[...] = 0.7
+        p.grad = np.full((1, 1), 0.7)
         before = p.value[0, 0]
         opt.step()
         d1 = abs(p.value[0, 0] - before)
         before = p.value[0, 0]
-        p.grad[...] = 0.7
+        p.grad = np.full((1, 1), 0.7)
         opt.step()
         d2 = abs(p.value[0, 0] - before)
         assert d2 <= d1 * (1 + 1e-6)
@@ -435,6 +479,7 @@ class TestAdam:
         w = ad.Var([[1.0]])
         b = ad.Var([[1.0]])
         opt = ad.Adam({"w": w, "b": b}, lr=0.001, weight_decay=0.5, no_decay={"b"})
+        w.grad, b.grad = np.zeros((1, 1)), np.zeros((1, 1))
         opt.step()
         assert w.value[0, 0] != 1.0  # decay acted as a gradient on w
         assert b.value[0, 0] == 1.0
@@ -475,7 +520,7 @@ class TestAdam:
                           no_decay={"bias"})
             for g in grads:
                 for n, p in params.items():
-                    p.grad[...] = g[n]
+                    p.grad = g[n]
                 step(opt)
             runs.append(opt)
         got, want = runs
@@ -487,7 +532,7 @@ class TestAdam:
     def test_step_allocates_no_full_size_temporary(self):
         rng = np.random.default_rng(0)
         p = ad.Var(rng.standard_normal((2_000_000 // 64, 64)))
-        p.grad[...] = rng.standard_normal(p.shape)
+        p.grad = rng.standard_normal(p.shape)
         opt = ad.Adam({"p": p}, weight_decay=0.0005)
         tracemalloc.start()
         try:

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import dignn.autodiff as ad
+import dignn.trainer as trainer
 from dignn.errors import DivergenceError
 from dignn.graphdata import SynthConfig, gather_batch, stratified_split, synth_generate
 from dignn.metrics import MetricsReport
@@ -60,6 +64,36 @@ class TestTrain:
         rep = evaluate(params, g, split.val)
         assert rep.auc == pytest.approx(best, abs=1e-12)
 
+    @pytest.mark.parametrize("aucs, best", [
+        ((0.6, 0.9, 0.7), 1),   # restored from a snapshot
+        ((0.6, 0.7, 0.9), 2),   # the last epoch: kept as it stands
+        ((0.8, 0.8, 0.8), 0),   # ties keep the earliest epoch
+    ])
+    def test_returns_parameters_of_best_epoch(self, small_data, monkeypatch,
+                                              aucs, best):
+        real = trainer.evaluate
+        at_epoch = []
+
+        def scripted(params, graph, ids):
+            at_epoch.append({n: v.value.copy() for n, v in params.tensors.items()})
+            return replace(real(params, graph, ids), auc=aucs[len(at_epoch) - 1])
+
+        monkeypatch.setattr(trainer, "evaluate", scripted)
+        g, split = small_data
+        params, _ = train(g, split, small_train_cfg(epochs=3))
+        for name, v in params.tensors.items():
+            assert np.array_equal(v.value, at_epoch[best][name]), name
+
+    def test_one_epoch_copies_no_parameters(self, small_data, monkeypatch):
+        # The only epoch is the best one, and its parameters are returned as
+        # they stand: no snapshot, no restore.
+        calls = []
+        monkeypatch.setattr(DignnParams, "snapshot", lambda self: calls.append("snapshot"))
+        monkeypatch.setattr(DignnParams, "restore", lambda self, s: calls.append("restore"))
+        g, split = small_data
+        train(g, split, small_train_cfg(epochs=1))
+        assert calls == []
+
     def test_deterministic_given_seed(self, small_data):
         g, split = small_data
         p1, h1 = train(g, split, small_train_cfg(seed=3))
@@ -101,20 +135,31 @@ class TestTrain:
         assert float(first[1]) == hist.epochs[0].ce
 
 
+def _toy_loss(ablation):
+    """Toy-graph params and their training loss under ``ablation``."""
+    cfg = small_train_cfg(ablation=ablation)
+    g = _toy_graph()
+    params = DignnParams.init(g.num_nodes, g.feature_dim, cfg.model, 0)
+    loss = _batch_losses(params, gather_batch(g, np.arange(6)), cfg, generator(0))[-1]
+    return cfg, params, loss
+
+
+def _reachable(loss):
+    """Every Var reachable from ``loss`` through ``parents``, loss included."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
 class TestOptimizerTensors:
     @pytest.mark.parametrize("ablation", ABLATIONS)
     def test_optimizer_holds_exactly_the_tensors_the_loss_reads(self, ablation):
-        cfg = small_train_cfg(ablation=ablation)
-        g = _toy_graph()
-        params = DignnParams.init(g.num_nodes, g.feature_dim, cfg.model, 0)
-        _, _, _, _, loss = _batch_losses(params, gather_batch(g, np.arange(6)),
-                                         cfg, generator(0))
-        seen, stack = {id(loss)}, [loss]
-        while stack:
-            for p in stack.pop().parents:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append(p)
+        cfg, params, loss = _toy_loss(ablation)
+        seen = {id(v) for v in _reachable(loss)}
         reachable = {n for n, v in params.tensors.items() if id(v) in seen}
         assert set(build_optimizer(params, cfg).params) == reachable
 
@@ -129,6 +174,29 @@ class TestOptimizerTensors:
         for name in decoders:
             assert np.array_equal(params[name].value, init[name].value), name
         assert not np.array_equal(params["enc_a_w1"].value, init["enc_a_w1"].value)
+
+
+class TestLazyGrads:
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_every_reachable_var_gets_a_grad_of_its_shape(self, ablation):
+        _, params, loss = _toy_loss(ablation)
+        ad.backward(loss)
+        tape = _reachable(loss)
+        for v in tape:
+            assert isinstance(v.grad, np.ndarray), v
+            assert v.grad.shape == v.value.shape, v
+        on_tape = {id(v) for v in tape}
+        for name, v in params.tensors.items():
+            assert (v.grad is None) == (id(v) not in on_tape), name
+
+    def test_no_mi_train_leaves_decoder_grads_none(self, small_data):
+        g, split = small_data
+        params, _ = train(g, split, small_train_cfg(ablation="no_mi", epochs=1))
+        decoders = [n for n in params.tensors if n.startswith("dec_")]
+        assert decoders
+        for name in decoders:
+            assert params[name].grad is None, name
+        assert params["enc_a_w1"].grad is not None
 
 
 class TestEvaluate:
