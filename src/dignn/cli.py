@@ -2,10 +2,14 @@
 
 Subcommands: train, eval, synth, gradcheck, export-embeddings.
 
+``eval`` and ``export-embeddings`` read the run directory ``train --out``
+wrote: its manifest (the data is hash-checked, then split and normalized as in
+training) and its ``model.bin``. ``eval`` prints ``DIR/metrics.json`` again.
+
 Exit codes: 0 success, 1 gradient-check failure, 2 usage/config error (also an
-unformable split, a metric the split leaves undefined, or an --out that cannot
-be written), 3 load error (graph or model, or a data file whose hash differs
-from the manifest's), 4 training divergence.
+unformable split, a metric the split leaves undefined, an unwritable --out, or
+--manifest with a flag), 3 load error (graph or model, or a data file whose
+hash differs from the manifest's), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -22,14 +26,13 @@ from .errors import (
     DignnError, DivergenceError, GraphLoadError, SplitError, UndefinedMetricError,
 )
 from .graphdata import (
-    SynthConfig, load_graph, neighbor_label_distribution, normalize_features,
-    save_graph, stratified_split, synth_generate,
+    SynthConfig, gather_batch, load_graph, neighbor_label_distribution,
+    normalize_features, save_graph, stratified_split, synth_generate,
 )
+from . import model as M
 from .model import DignnConfig, DignnParams
 from .rng import seed_streams
 from .trainer import ABLATIONS, MODES, TrainConfig, evaluate, gradcheck, train
-from . import model as M
-from .graphdata import gather_batch
 
 EXIT_OK = 0
 EXIT_GRADCHECK = 1
@@ -45,6 +48,7 @@ CONFIG_DEFAULTS = {**_TRAIN_DEFAULTS, **_MODEL_DEFAULTS, **DEFAULT_RATIOS}
 # Each key's type is that of its default (``field.type`` is only a string
 # under ``from __future__ import annotations``).
 CONFIG_KEYS = {k: type(v) for k, v in CONFIG_DEFAULTS.items()}
+_OVERRIDES = ("seed", "epochs", "batch_size", "alpha", "beta", "ablation", "mode")
 
 
 class UsageError(DignnError):
@@ -118,18 +122,6 @@ def variant_tag(cfg: dict) -> str:
     return tag
 
 
-def _hash_dir(path: str) -> dict[str, str]:
-    if not os.path.isdir(path):
-        raise GraphLoadError(f"not a directory: {path}")
-    hashes = {}
-    for name in sorted(os.listdir(path)):
-        fp = os.path.join(path, name)
-        if os.path.isfile(fp):
-            with open(fp, "rb") as fh:
-                hashes[name] = hashlib.sha256(fh.read()).hexdigest()
-    return hashes
-
-
 def _write_json(obj, path: str):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -157,40 +149,68 @@ def _output(path: str, act):
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _prepare_data(data_dir: str, cfg: dict):
+def _load_data(data_dir: str, cfg: dict, recorded: dict):
+    """``data_dir``'s file hashes, each file in ``recorded`` checked against
+    them, and its graph split and normalized as ``cfg`` says, with the split."""
+    if not os.path.isdir(data_dir):
+        raise GraphLoadError(f"not a directory: {data_dir}")
+    hashes = {}
+    for name in sorted(os.listdir(data_dir)):
+        fp = os.path.join(data_dir, name)
+        if os.path.isfile(fp):
+            with open(fp, "rb") as fh:
+                hashes[name] = hashlib.sha256(fh.read()).hexdigest()
+    for name in sorted(recorded):
+        if hashes.get(name) != recorded[name]:
+            raise GraphLoadError(f"{name} in {data_dir} is missing or differs "
+                                 "from the manifest's input hash")
     graph = load_graph(data_dir)
     ratios = (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"])
-    streams = seed_streams(cfg["seed"])
-    split = stratified_split(graph, ratios, streams["split"])
-    graph = normalize_features(graph, split)
-    return graph, split
+    split = stratified_split(graph, ratios, seed_streams(cfg["seed"])["split"])
+    return hashes, normalize_features(graph, split), split
+
+
+def _load_run(run_dir: str):
+    """A run directory's config and model, and the graph and split it trained on."""
+    cfg, data_dir, recorded = read_manifest(os.path.join(run_dir, "manifest.json"))
+    _, graph, split = _load_data(data_dir, cfg, recorded)
+    params = DignnParams.load(os.path.join(run_dir, "model.bin"))
+    # A model.bin copied in from another run need not fit this graph.
+    if params.n_nodes != graph.num_nodes or params.feat_dim != graph.feature_dim:
+        raise GraphLoadError(
+            f"model dims ({params.n_nodes}, {params.feat_dim}) do not match "
+            f"graph ({graph.num_nodes}, {graph.feature_dim})"
+        )
+    return cfg, params, graph, split
+
+
+def _test_report(cfg: dict, params: DignnParams, graph, split) -> dict:
+    """What ``train`` writes to ``metrics.json`` and ``eval`` prints."""
+    return {"variant": variant_tag(cfg), "seed": cfg["seed"],
+            "metrics": evaluate(params, graph, split.test).to_dict()}
 
 
 def cmd_train(args) -> int:
     recorded = {}
     if args.manifest:
+        fixed = [f"--{k.replace('_', '-')}" for k in ("data", "config", *_OVERRIDES)
+                 if getattr(args, k) is not None]
+        if fixed:
+            raise UsageError(f"--manifest fixes the run; {', '.join(fixed)} "
+                             "cannot be given with it")
         cfg, data_dir, recorded = read_manifest(args.manifest)
     else:
         if not args.data:
             raise UsageError("train requires --data (or --manifest)")
         file_cfg = read_config_file(args.config) if args.config else {}
-        overrides = {"seed": args.seed, "epochs": args.epochs,
-                     "batch_size": args.batch_size, "alpha": args.alpha,
-                     "beta": args.beta, "ablation": args.ablation,
-                     "mode": args.mode}
-        cfg = resolve_config(file_cfg, overrides)
+        cfg = resolve_config(file_cfg, {k: getattr(args, k) for k in _OVERRIDES})
         data_dir = args.data
     tcfg = build_train_config(cfg)
     try:
         tcfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    hashes = _hash_dir(data_dir)
-    for name in sorted(recorded):
-        if hashes.get(name) != recorded[name]:
-            raise GraphLoadError(f"{name} in {data_dir} is missing or differs "
-                                 "from the manifest's input hash")
-    graph, split = _prepare_data(data_dir, cfg)
+    hashes, graph, split = _load_data(data_dir, cfg, recorded)
 
     _output(args.out, partial(os.makedirs, exist_ok=True))
     paths = {name: os.path.join(args.out, fn) for name, fn in (
@@ -214,9 +234,7 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
-    report = evaluate(params, graph, split.test)
-    payload = {"variant": variant_tag(cfg), "seed": cfg["seed"],
-               "metrics": report.to_dict()}
+    payload = _test_report(cfg, params, graph, split)
     _write_atomic(paths["manifest"], write_manifest)
     _write_atomic(paths["model"], params.save)
     _write_atomic(paths["history"], history.write_csv)
@@ -225,22 +243,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_for(args):
-    """The ``--data`` graph and its ``--seed`` split, and the ``--model`` for it."""
-    graph, split = _prepare_data(args.data, resolve_config({}, {"seed": args.seed}))
-    params = DignnParams.load(args.model)
-    if params.n_nodes != graph.num_nodes or params.feat_dim != graph.feature_dim:
-        raise GraphLoadError(
-            f"model dims ({params.n_nodes}, {params.feat_dim}) do not match "
-            f"graph ({graph.num_nodes}, {graph.feature_dim})"
-        )
-    return graph, split, params
-
-
 def cmd_eval(args) -> int:
-    graph, split, params = _load_model_for(args)
-    report = evaluate(params, graph, split.test)
-    payload = {"seed": args.seed, "metrics": report.to_dict()}
+    payload = _test_report(*_load_run(args.run))
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         _output(args.out, partial(_write_atomic, write=partial(_write_json, payload)))
@@ -277,7 +281,7 @@ def cmd_gradcheck(args) -> int:
     }
     ok = True
     for vname, mcfg in variants.items():
-        report = gradcheck(mcfg, corrupt=args.corrupt_tensor)
+        report = gradcheck(mcfg)
         for tname, err in report["per_tensor"].items():
             print(f"{vname} {tname} {err:.3e}")
         status = "pass" if report["passed"] else "FAIL"
@@ -287,7 +291,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    graph, _split, params = _load_model_for(args)
+    _cfg, params, graph, _split = _load_run(args.run)
     ids = graph.labeled_ids()
     batch = gather_batch(graph, ids)
     out = M.forward(params, batch, params.cfg)
@@ -323,9 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a trained model on the test split")
-    e.add_argument("--model", required=True)
-    e.add_argument("--data", required=True)
-    e.add_argument("--seed", type=int, default=0, help="root seed of the run")
+    e.add_argument("--run", required=True, help="run directory written by train")
     e.add_argument("--out")
     e.set_defaults(func=cmd_eval)
 
@@ -343,15 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_synth)
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    g.add_argument("--corrupt-tensor", dest="corrupt_tensor",
-                   help=argparse.SUPPRESS)
     g.set_defaults(func=cmd_gradcheck)
 
     x = sub.add_parser("export-embeddings",
                        help="write fused embeddings of all labeled nodes")
-    x.add_argument("--model", required=True)
-    x.add_argument("--data", required=True)
-    x.add_argument("--seed", type=int, default=0)
+    x.add_argument("--run", required=True, help="run directory written by train")
     x.add_argument("--out", required=True)
     x.set_defaults(func=cmd_export_embeddings)
     return p

@@ -101,12 +101,13 @@ class DignnParams:
     def __getitem__(self, name: str) -> Var:
         return self.tensors[name]
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {n: v.value.copy() for n, v in self.tensors.items()}
+    def snapshot(self, names) -> dict[str, np.ndarray]:
+        """Copies of the named tensors' values, which ``restore`` writes back."""
+        return {n: self.tensors[n].value.copy() for n in names}
 
     def restore(self, snap: dict[str, np.ndarray]):
-        for n, v in self.tensors.items():
-            v.value[...] = snap[n]
+        for n, value in snap.items():
+            self.tensors[n].value[...] = value
 
     def save(self, path: str):
         with open(path, "wb") as fh:

@@ -159,7 +159,7 @@ def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
         if val.auc > best_auc:  # auc_rank lies in [0, 1], so epoch 1 passes
             best_auc = val.auc
             # The last epoch's parameters are already where they end up.
-            best_snap = params.snapshot() if e + 1 < cfg.epochs else None
+            best_snap = params.snapshot(opt.params) if e + 1 < cfg.epochs else None
     if best_snap is not None:
         params.restore(best_snap)
     return params, history

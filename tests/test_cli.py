@@ -2,18 +2,23 @@ import json
 import os
 import shutil
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
 
+from dignn import cli
+from dignn import model as M
 from dignn.autodiff import Var
 from dignn.cli import (
     CONFIG_KEYS, EXIT_DIVERGENCE, EXIT_GRADCHECK, EXIT_LOAD, EXIT_OK, EXIT_USAGE,
     UsageError, _write_atomic, build_train_config, main, read_config_file,
     resolve_config, variant_tag,
 )
+from dignn.graphdata import gather_batch, load_graph, normalize_features, stratified_split
 from dignn.model import DignnConfig, DignnParams
-from dignn.trainer import TrainConfig
+from dignn.rng import seed_streams
+from dignn.trainer import TrainConfig, gradcheck
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -34,6 +39,29 @@ def trained_run(tmp_path_factory, data_dir):
                  "--epochs", "3", "--batch-size", "16", "--seed", "0"])
     assert code == EXIT_OK
     return out
+
+
+@pytest.fixture(scope="module")
+def ratio_run(tmp_path_factory, data_dir):
+    """A run whose split ratios and seed both differ from the defaults."""
+    cfg = tmp_path_factory.mktemp("cfg") / "cfg.txt"
+    cfg.write_text("train_ratio = 0.7\nval_ratio = 0.1\ntest_ratio = 0.2\n")
+    out = str(tmp_path_factory.mktemp("ratio_run"))
+    code = main(["train", "--data", data_dir, "--config", str(cfg), "--out", out,
+                 "--epochs", "3", "--batch-size", "16", "--seed", "5"])
+    assert code == EXIT_OK
+    return out
+
+
+def _copy_run(run, tmp_path):
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    return copy
+
+
+def _model_bytes(run) -> bytearray:
+    with open(os.path.join(run, "model.bin"), "rb") as fh:
+        return bytearray(fh.read())
 
 
 class TestSynth:
@@ -174,6 +202,21 @@ class TestTrain:
         assert "features.f32le" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--data", "/nonexistent"), ("--config", "cfg.txt"), ("--seed", "9"),
+        ("--epochs", "1"), ("--batch-size", "8"), ("--alpha", "0.1"),
+        ("--beta", "0.1"), ("--ablation", "no_mi"), ("--mode", "fullbatch"),
+    ])
+    def test_manifest_with_a_flag_is_usage_error(self, trained_run, tmp_path,
+                                                 capsys, flag, value):
+        out = tmp_path / "o"
+        code = main(["train", "--manifest",
+                     os.path.join(trained_run, "manifest.json"),
+                     flag, value, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
@@ -248,80 +291,108 @@ class TestTrain:
 
 
 class TestEval:
-    def test_eval_trained_model(self, trained_run, data_dir, tmp_path, capsys):
+    def test_eval_trained_model(self, ratio_run, tmp_path, capsys):
+        # The run's split is not the default one, and eval scores that split.
         out = tmp_path / "eval.json"
-        code = main(["eval", "--model", os.path.join(trained_run, "model.bin"),
-                     "--data", data_dir, "--seed", "0", "--out", str(out)])
+        code = main(["eval", "--run", ratio_run, "--out", str(out)])
         assert code == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
-        with open(os.path.join(trained_run, "metrics.json")) as fh:
-            trained = json.load(fh)
-        assert payload["metrics"]["auc"] == trained["metrics"]["auc"]
-        assert json.loads(out.read_text()) == payload
+        with open(os.path.join(ratio_run, "metrics.json"), "rb") as fh:
+            trained = fh.read()
+        assert capsys.readouterr().out.encode() == trained
+        assert out.read_bytes() == trained
         assert os.listdir(tmp_path) == ["eval.json"]
 
-    def test_missing_model_is_load_error(self, data_dir, tmp_path, capsys):
-        model = str(tmp_path / "nope.bin")
-        code = main(["eval", "--model", model, "--data", data_dir])
+    def test_changed_data_is_load_error(self, ratio_run, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        blob = bytearray((data / "features.f32le").read_bytes())
+        blob[0] ^= 1
+        (data / "features.f32le").write_bytes(bytes(blob))
+        run = _copy_run(ratio_run, tmp_path)
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["data"] = str(data)
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["eval", "--run", str(run)])
         assert code == EXIT_LOAD
-        assert model in capsys.readouterr().err
+        assert "features.f32le" in capsys.readouterr().err
 
-    def test_out_in_missing_directory_is_usage_error(self, trained_run, data_dir,
-                                                     tmp_path, capsys):
+    def test_missing_manifest_is_usage_error(self, trained_run, tmp_path, capsys):
+        run = _copy_run(trained_run, tmp_path)
+        os.remove(run / "manifest.json")
+        code = main(["eval", "--run", str(run)])
+        assert code == EXIT_USAGE
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_missing_model_is_load_error(self, trained_run, tmp_path, capsys):
+        # A diverged run leaves a manifest but no model.bin.
+        run = _copy_run(trained_run, tmp_path)
+        os.remove(run / "model.bin")
+        code = main(["eval", "--run", str(run)])
+        assert code == EXIT_LOAD
+        assert str(run / "model.bin") in capsys.readouterr().err
+
+    def test_out_in_missing_directory_is_usage_error(self, trained_run, tmp_path,
+                                                     capsys):
         out = str(tmp_path / "absent" / "eval.json")
-        code = main(["eval", "--model", os.path.join(trained_run, "model.bin"),
-                     "--data", data_dir, "--out", out])
+        code = main(["eval", "--run", trained_run, "--out", out])
         assert code == EXIT_USAGE
         assert out in capsys.readouterr().err
 
     def test_dimension_mismatch_is_load_error(self, trained_run, tmp_path, capsys):
-        other = str(tmp_path / "g2")
-        assert main(["synth", "--n", "100", "--dim", "8", "--seed", "3",
-                     "--out", other]) == EXIT_OK
-        capsys.readouterr()
-        code = main(["eval", "--model", os.path.join(trained_run, "model.bin"),
-                     "--data", other])
+        # model.bin replaced by the model of a 100-node graph.
+        run = _copy_run(trained_run, tmp_path)
+        DignnParams.init(100, 8, DignnConfig(), seed=0).save(str(run / "model.bin"))
+        code = main(["eval", "--run", str(run)])
         assert code == EXIT_LOAD
+        assert "do not match" in capsys.readouterr().err
 
-    def test_truncated_model_is_load_error(self, trained_run, data_dir, tmp_path,
-                                           capsys):
-        blob = open(os.path.join(trained_run, "model.bin"), "rb").read()
-        cut = tmp_path / "model.bin"
-        cut.write_bytes(blob[:20])
-        code = main(["eval", "--model", str(cut), "--data", data_dir])
+    def test_truncated_model_is_load_error(self, trained_run, tmp_path, capsys):
+        run = _copy_run(trained_run, tmp_path)
+        (run / "model.bin").write_bytes(bytes(_model_bytes(trained_run)[:20]))
+        code = main(["eval", "--run", str(run)])
         assert code == EXIT_LOAD
         assert "truncated" in capsys.readouterr().err
 
-    def test_non_utf8_tensor_name_is_load_error(self, trained_run, data_dir, tmp_path,
-                                                capsys):
-        blob = bytearray(open(os.path.join(trained_run, "model.bin"), "rb").read())
+    def test_non_utf8_tensor_name_is_load_error(self, trained_run, tmp_path, capsys):
+        run = _copy_run(trained_run, tmp_path)
+        blob = _model_bytes(trained_run)
         blob[blob.index(b"enc_a_w1")] = 0xFF
-        bad = tmp_path / "model.bin"
-        bad.write_bytes(bytes(blob))
-        code = main(["eval", "--model", str(bad), "--data", data_dir])
+        (run / "model.bin").write_bytes(bytes(blob))
+        code = main(["eval", "--run", str(run)])
         assert code == EXIT_LOAD
         assert "UTF-8" in capsys.readouterr().err
 
-    def test_flag_byte_other_than_one_is_load_error(self, trained_run, data_dir,
-                                                    tmp_path, capsys):
-        blob = bytearray(open(os.path.join(trained_run, "model.bin"), "rb").read())
+    def test_flag_byte_other_than_one_is_load_error(self, trained_run, tmp_path,
+                                                    capsys):
+        run = _copy_run(trained_run, tmp_path)
+        blob = _model_bytes(trained_run)
         assert blob[30] == 1  # after the 6-byte magic and six uint32 fields
         blob[30] = 0
-        bad = tmp_path / "model.bin"
-        bad.write_bytes(bytes(blob))
-        code = main(["eval", "--model", str(bad), "--data", data_dir])
+        (run / "model.bin").write_bytes(bytes(blob))
+        code = main(["eval", "--run", str(run)])
         assert code == EXIT_LOAD
         assert "flag" in capsys.readouterr().err
 
-    def test_wrong_tensor_shape_is_load_error(self, trained_run, data_dir, tmp_path,
-                                              capsys):
-        params = DignnParams.load(os.path.join(trained_run, "model.bin"))
+    def test_wrong_tensor_shape_is_load_error(self, trained_run, tmp_path, capsys):
+        run = _copy_run(trained_run, tmp_path)
+        params = DignnParams.load(str(run / "model.bin"))
         params.tensors["att_q"] = Var(np.zeros((5, 1)))
-        bad = str(tmp_path / "model.bin")
-        params.save(bad)
-        code = main(["eval", "--model", bad, "--data", data_dir])
+        params.save(str(run / "model.bin"))
+        code = main(["eval", "--run", str(run)])
         assert code == EXIT_LOAD
         assert "att_q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+@pytest.mark.parametrize("flag, value", [
+    ("--model", "model.bin"), ("--data", "graph"), ("--seed", "0"),
+])
+def test_run_is_the_only_input(trained_run, tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--run", trained_run, flag, value,
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 class TestGradcheck:
@@ -331,18 +402,22 @@ class TestGradcheck:
         assert code == EXIT_OK
         assert "max_rel_err" in out and "FAIL" not in out
 
-    def test_corrupted_gradient_fails(self, capsys):
-        code = main(["gradcheck", "--corrupt-tensor", "clf_w"])
+    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gradcheck", partial(gradcheck, corrupt="clf_w"))
+        code = main(["gradcheck"])
         assert code == EXIT_GRADCHECK
         assert "FAIL" in capsys.readouterr().out
 
+    def test_takes_no_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--corrupt-tensor", "clf_w"])
+        assert exc.value.code == EXIT_USAGE
+
 
 class TestExportEmbeddings:
-    def test_csv_shape(self, trained_run, data_dir, tmp_path):
+    def test_csv_shape(self, trained_run, tmp_path):
         out = str(tmp_path / "emb.csv")
-        code = main(["export-embeddings",
-                     "--model", os.path.join(trained_run, "model.bin"),
-                     "--data", data_dir, "--seed", "0", "--out", out])
+        code = main(["export-embeddings", "--run", trained_run, "--out", out])
         assert code == EXIT_OK
         lines = open(out).read().strip().split("\n")
         header = lines[0].split(",")
@@ -355,20 +430,36 @@ class TestExportEmbeddings:
         float(row[2])  # embedding entries parse as floats
         assert os.listdir(tmp_path) == ["emb.csv"]
 
-    def test_missing_model_is_load_error(self, data_dir, tmp_path, capsys):
-        model = str(tmp_path / "nope.bin")
-        code = main(["export-embeddings", "--model", model, "--data", data_dir,
-                     "--out", str(tmp_path / "emb.csv")])
-        assert code == EXIT_LOAD
-        assert model in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
+    def test_embeddings_of_the_runs_normalization(self, ratio_run, data_dir,
+                                                   tmp_path):
+        out = tmp_path / "emb.csv"
+        code = main(["export-embeddings", "--run", ratio_run, "--out", str(out)])
+        assert code == EXIT_OK
+        graph = load_graph(data_dir)
+        split = stratified_split(graph, (0.7, 0.1, 0.2), seed_streams(5)["split"])
+        graph = normalize_features(graph, split)
+        params = DignnParams.load(os.path.join(ratio_run, "model.bin"))
+        ids = graph.labeled_ids()
+        batch = gather_batch(graph, ids)
+        z = M.forward(params, batch, params.cfg).z.value
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], ids)
+        assert np.array_equal(rows[:, 1], batch.labels)
+        assert np.array_equal(rows[:, 2:], z)
 
-    def test_out_in_missing_directory_is_usage_error(self, trained_run, data_dir,
-                                                     tmp_path, capsys):
+    def test_missing_model_is_load_error(self, trained_run, tmp_path, capsys):
+        run = _copy_run(trained_run, tmp_path)
+        os.remove(run / "model.bin")
+        out = tmp_path / "emb.csv"
+        code = main(["export-embeddings", "--run", str(run), "--out", str(out)])
+        assert code == EXIT_LOAD
+        assert str(run / "model.bin") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run"]
+
+    def test_out_in_missing_directory_is_usage_error(self, trained_run, tmp_path,
+                                                     capsys):
         out = str(tmp_path / "absent" / "emb.csv")
-        code = main(["export-embeddings",
-                     "--model", os.path.join(trained_run, "model.bin"),
-                     "--data", data_dir, "--out", out])
+        code = main(["export-embeddings", "--run", trained_run, "--out", out])
         assert code == EXIT_USAGE
         assert out in capsys.readouterr().err
 

@@ -77,10 +77,13 @@ class TestParams:
 
     def test_snapshot_restore(self):
         p = DignnParams.init(6, 4, small_cfg(), seed=2)
-        snap = p.snapshot()
+        snap = p.snapshot(["clf_w"])
+        assert list(snap) == ["clf_w"]  # only the named tensors are copied
         p["clf_w"].value[...] += 1.0
+        p["clf_b"].value[...] += 1.0
         p.restore(snap)
         assert np.array_equal(p["clf_w"].value, snap["clf_w"])
+        assert np.all(p["clf_b"].value == 1.0)  # not in the snapshot: left alone
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

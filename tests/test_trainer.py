@@ -64,13 +64,10 @@ class TestTrain:
         rep = evaluate(params, g, split.val)
         assert rep.auc == pytest.approx(best, abs=1e-12)
 
-    @pytest.mark.parametrize("aucs, best", [
-        ((0.6, 0.9, 0.7), 1),   # restored from a snapshot
-        ((0.6, 0.7, 0.9), 2),   # the last epoch: kept as it stands
-        ((0.8, 0.8, 0.8), 0),   # ties keep the earliest epoch
-    ])
-    def test_returns_parameters_of_best_epoch(self, small_data, monkeypatch,
-                                              aucs, best):
+    @staticmethod
+    def _script_val_auc(monkeypatch, aucs):
+        """Make epoch e's validation AUC read ``aucs[e]``; the returned list
+        gets a copy of every tensor at each validation."""
         real = trainer.evaluate
         at_epoch = []
 
@@ -79,16 +76,47 @@ class TestTrain:
             return replace(real(params, graph, ids), auc=aucs[len(at_epoch) - 1])
 
         monkeypatch.setattr(trainer, "evaluate", scripted)
+        return at_epoch
+
+    @pytest.mark.parametrize("aucs, best", [
+        ((0.6, 0.9, 0.7), 1),   # restored from a snapshot
+        ((0.6, 0.7, 0.9), 2),   # the last epoch: kept as it stands
+        ((0.8, 0.8, 0.8), 0),   # ties keep the earliest epoch
+    ])
+    def test_returns_parameters_of_best_epoch(self, small_data, monkeypatch,
+                                              aucs, best):
+        at_epoch = self._script_val_auc(monkeypatch, aucs)
         g, split = small_data
         params, _ = train(g, split, small_train_cfg(epochs=3))
         for name, v in params.tensors.items():
             assert np.array_equal(v.value, at_epoch[best][name]), name
 
+    def test_no_mi_snapshot_leaves_out_the_decoders(self, small_data, monkeypatch):
+        # The snapshot copies only the tensors the optimizer updates; under
+        # no_mi the decoders keep their init, so the restore is still exact.
+        at_epoch = self._script_val_auc(monkeypatch, (0.6, 0.9, 0.7))
+        real, snapped = DignnParams.snapshot, []
+
+        def spy(params, names):
+            snapped.append(set(names))
+            return real(params, names)
+
+        monkeypatch.setattr(DignnParams, "snapshot", spy)
+        g, split = small_data
+        cfg = small_train_cfg(epochs=3, ablation="no_mi")
+        params, _ = train(g, split, cfg)
+        for name, v in params.tensors.items():
+            assert np.array_equal(v.value, at_epoch[1][name]), name
+        # Epochs 1 and 2 each improved on the best validation AUC.
+        assert snapped == 2 * [set(build_optimizer(params, cfg).params)]
+        assert not any(n.startswith("dec_") for n in snapped[0])
+
     def test_one_epoch_copies_no_parameters(self, small_data, monkeypatch):
         # The only epoch is the best one, and its parameters are returned as
         # they stand: no snapshot, no restore.
         calls = []
-        monkeypatch.setattr(DignnParams, "snapshot", lambda self: calls.append("snapshot"))
+        monkeypatch.setattr(DignnParams, "snapshot",
+                            lambda self, names: calls.append("snapshot"))
         monkeypatch.setattr(DignnParams, "restore", lambda self, s: calls.append("restore"))
         g, split = small_data
         train(g, split, small_train_cfg(epochs=1))
