@@ -8,8 +8,9 @@ training) and its ``model.bin``. ``eval`` prints ``DIR/metrics.json`` again.
 
 Exit codes: 0 success, 1 gradient-check failure, 2 usage/config error (also an
 unformable split, a metric the split leaves undefined, an unwritable --out, or
---manifest with a flag), 3 load error (graph or model, or a data file whose
-hash differs from the manifest's), 4 training divergence.
+--manifest with a flag), 3 load error (graph or model, a data file whose hash
+differs from the manifest's, or a model.bin whose hash differs from the one the
+manifest recorded or that has none), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ from .errors import (
     DignnError, DivergenceError, GraphLoadError, SplitError, UndefinedMetricError,
 )
 from .graphdata import (
-    SynthConfig, gather_batch, load_graph, neighbor_label_distribution,
+    SynthConfig, gather_batch, load_graph, make_batches, neighbor_label_distribution,
     normalize_features, save_graph, stratified_split, synth_generate,
 )
 from . import model as M
 from .model import DignnConfig, DignnParams
 from .rng import seed_streams
-from .trainer import ABLATIONS, MODES, TrainConfig, evaluate, gradcheck, train
+from .trainer import (
+    ABLATIONS, MODES, SCORE_BLOCK, TrainConfig, evaluate, gradcheck, train,
+)
 
 EXIT_OK = 0
 EXIT_GRADCHECK = 1
@@ -76,9 +79,10 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def read_manifest(path: str) -> tuple[dict, str, dict]:
-    """The config, data directory and input hashes of a manifest; the config
-    has exactly the keys of ``CONFIG_KEYS``, each holding a value of its type."""
+def read_manifest(path: str) -> tuple[dict, str, dict, dict]:
+    """The config, data directory, input hashes and output hashes (empty when
+    none are recorded) of a manifest; the config has exactly the keys of
+    ``CONFIG_KEYS``, each holding a value of its type."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -89,6 +93,9 @@ def read_manifest(path: str) -> tuple[dict, str, dict]:
             and isinstance(manifest.get("input_hashes"), dict)):
         raise UsageError(f"{path}: a manifest needs a 'config' object, a 'data' "
                          "path and an 'input_hashes' object")
+    outputs = manifest.get("output_hashes", {})
+    if not isinstance(outputs, dict):
+        raise UsageError(f"{path}: 'output_hashes' must be an object")
     cfg = manifest["config"]
     missing = sorted(CONFIG_KEYS.keys() - cfg.keys())
     if missing:
@@ -99,7 +106,7 @@ def read_manifest(path: str) -> tuple[dict, str, dict]:
     for key, typ in CONFIG_KEYS.items():
         if not (type(cfg[key]) is typ or (typ is float and type(cfg[key]) is int)):
             raise UsageError(f"{path}: bad value for {key}: {cfg[key]!r}")
-    return cfg, manifest["data"], manifest["input_hashes"]
+    return cfg, manifest["data"], manifest["input_hashes"], outputs
 
 
 def resolve_config(file_cfg: dict, cli_overrides: dict) -> dict:
@@ -149,6 +156,14 @@ def _output(path: str, act):
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(partial(fh.read, 1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _load_data(data_dir: str, cfg: dict, recorded: dict):
     """``data_dir``'s file hashes, each file in ``recorded`` checked against
     them, and its graph split and normalized as ``cfg`` says, with the split."""
@@ -158,8 +173,7 @@ def _load_data(data_dir: str, cfg: dict, recorded: dict):
     for name in sorted(os.listdir(data_dir)):
         fp = os.path.join(data_dir, name)
         if os.path.isfile(fp):
-            with open(fp, "rb") as fh:
-                hashes[name] = hashlib.sha256(fh.read()).hexdigest()
+            hashes[name] = _sha256(fp)
     for name in sorted(recorded):
         if hashes.get(name) != recorded[name]:
             raise GraphLoadError(f"{name} in {data_dir} is missing or differs "
@@ -172,15 +186,21 @@ def _load_data(data_dir: str, cfg: dict, recorded: dict):
 
 def _load_run(run_dir: str):
     """A run directory's config and model, and the graph and split it trained on."""
-    cfg, data_dir, recorded = read_manifest(os.path.join(run_dir, "manifest.json"))
+    cfg, data_dir, recorded, outputs = read_manifest(
+        os.path.join(run_dir, "manifest.json"))
     _, graph, split = _load_data(data_dir, cfg, recorded)
-    params = DignnParams.load(os.path.join(run_dir, "model.bin"))
-    # A model.bin copied in from another run need not fit this graph.
+    model_path = os.path.join(run_dir, "model.bin")
+    params = DignnParams.load(model_path)
+    # A model.bin copied in from another run need not fit this graph, and
+    # one that fits need not be the model this run trained.
     if params.n_nodes != graph.num_nodes or params.feat_dim != graph.feature_dim:
         raise GraphLoadError(
             f"model dims ({params.n_nodes}, {params.feat_dim}) do not match "
             f"graph ({graph.num_nodes}, {graph.feature_dim})"
         )
+    if _sha256(model_path) != outputs.get("model.bin"):
+        raise GraphLoadError(f"{model_path} differs from the manifest's output "
+                             "hash, or the manifest records none")
     return cfg, params, graph, split
 
 
@@ -198,7 +218,7 @@ def cmd_train(args) -> int:
         if fixed:
             raise UsageError(f"--manifest fixes the run; {', '.join(fixed)} "
                              "cannot be given with it")
-        cfg, data_dir, recorded = read_manifest(args.manifest)
+        cfg, data_dir, recorded, _ = read_manifest(args.manifest)
     else:
         if not args.data:
             raise UsageError("train requires --data (or --manifest)")
@@ -235,8 +255,9 @@ def cmd_train(args) -> int:
         return EXIT_DIVERGENCE
 
     payload = _test_report(cfg, params, graph, split)
-    _write_atomic(paths["manifest"], write_manifest)
     _write_atomic(paths["model"], params.save)
+    manifest["output_hashes"] = {"model.bin": _sha256(paths["model"])}
+    _write_atomic(paths["manifest"], write_manifest)
     _write_atomic(paths["history"], history.write_csv)
     _write_atomic(paths["metrics"], partial(_write_json, payload))
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -292,17 +313,19 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     _cfg, params, graph, _split = _load_run(args.run)
-    ids = graph.labeled_ids()
-    batch = gather_batch(graph, ids)
-    out = M.forward(params, batch, params.cfg)
-    z = out.z.value
 
     def write(path):
+        # Each block's rows are written as soon as it is scored, so no more
+        # than one block's tape and embeddings are held.
         with open(path, "w") as fh:
             fh.write("node_id,label," +
-                     ",".join(f"z{i}" for i in range(z.shape[1])) + "\n")
-            for nid, lab, row in zip(ids, batch.labels, z):
-                fh.write(f"{nid},{lab}," + ",".join(repr(float(x)) for x in row) + "\n")
+                     ",".join(f"z{i}" for i in range(params.cfg.embed_dim)) + "\n")
+            for ids in make_batches(graph.labeled_ids(), SCORE_BLOCK):
+                batch = gather_batch(graph, ids)
+                z = M.forward(params, batch, params.cfg).z.value
+                for nid, lab, row in zip(ids, batch.labels, z):
+                    fh.write(f"{nid},{lab}," +
+                             ",".join(repr(float(x)) for x in row) + "\n")
 
     _output(args.out, partial(_write_atomic, write=write))
     return EXIT_OK

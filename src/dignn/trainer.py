@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import model as M
-from .errors import DivergenceError
+from .errors import DivergenceError, UndefinedMetricError
 from .graphdata import (
     FraudGraph, SplitIndex, build_union_adj, downsample_epoch, gather_batch,
     make_batches,
@@ -23,6 +23,9 @@ from .rng import generator, seed_streams
 
 ABLATIONS = ("full", "no_mi")
 MODES = ("minibatch", "fullbatch")
+# Rows per scoring forward, the default training batch: a forward's tape and
+# its (rows x hidden) arrays stay this size however many nodes are scored.
+SCORE_BLOCK = 1024
 
 
 @dataclass
@@ -78,10 +81,18 @@ class TrainHistory:
 
 
 def evaluate(params: DignnParams, graph: FraudGraph, ids) -> MetricsReport:
-    """Deterministic forward on the given labeled nodes."""
-    batch = gather_batch(graph, np.asarray(ids))
-    preds, scores = M.predict(params, batch, params.cfg)
-    return compute_report(scores, preds, batch.labels)
+    """Deterministic scores of the given labeled nodes, one forward per
+    ``SCORE_BLOCK`` of them, reported together."""
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        raise UndefinedMetricError("no nodes to score")
+    preds, scores = [], []
+    for block in make_batches(ids, SCORE_BLOCK):
+        p, s = M.predict(params, gather_batch(graph, block), params.cfg)
+        preds.append(p)
+        scores.append(s)
+    return compute_report(np.concatenate(scores), np.concatenate(preds),
+                          graph.labels[ids])
 
 
 def _batch_losses(params: DignnParams, batch, cfg: TrainConfig, rng):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -18,7 +19,7 @@ from dignn.cli import (
 from dignn.graphdata import gather_batch, load_graph, normalize_features, stratified_split
 from dignn.model import DignnConfig, DignnParams
 from dignn.rng import seed_streams
-from dignn.trainer import TrainConfig, gradcheck
+from dignn.trainer import SCORE_BLOCK, TrainConfig, gradcheck
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -51,6 +52,18 @@ def ratio_run(tmp_path_factory, data_dir):
                  "--epochs", "3", "--batch-size", "16", "--seed", "5"])
     assert code == EXIT_OK
     return out
+
+
+@pytest.fixture(scope="module")
+def big_run(tmp_path_factory):
+    """A run on a graph with more labeled nodes than one scoring block."""
+    data = str(tmp_path_factory.mktemp("big_graph"))
+    assert main(["synth", "--n", "3000", "--dim", "8", "--seed", "2",
+                 "--out", data]) == EXIT_OK
+    out = str(tmp_path_factory.mktemp("big_run"))
+    assert main(["train", "--data", data, "--out", out, "--epochs", "1",
+                 "--seed", "0"]) == EXIT_OK
+    return data, out
 
 
 def _copy_run(run, tmp_path):
@@ -126,6 +139,8 @@ class TestTrain:
         assert "meta.json" in manifest["input_hashes"]
         assert manifest["config"]["epochs"] == 3
         assert manifest["outputs"]["model"] == "model.bin"
+        digest = hashlib.sha256(_model_bytes(trained_run)).hexdigest()
+        assert manifest["output_hashes"] == {"model.bin": digest}
 
     def test_manifest_rerun_reproduces_model(self, trained_run, tmp_path, capsys):
         out2 = str(tmp_path / "rerun")
@@ -139,7 +154,7 @@ class TestTrain:
     @pytest.mark.parametrize("case", [
         "missing_file", "directory", "not_json", "no_config", "missing_key",
         "unknown_key", "dropped_knob", "shared_attention", "hashes_not_object",
-        "wrong_type",
+        "output_hashes_not_object", "wrong_type",
     ])
     def test_bad_manifest_is_usage_error(self, trained_run, tmp_path, capsys, case):
         with open(os.path.join(trained_run, "manifest.json")) as fh:
@@ -172,6 +187,9 @@ class TestTrain:
             elif case == "hashes_not_object":
                 manifest["input_hashes"] = ["meta.json"]
                 named = "input_hashes"
+            elif case == "output_hashes_not_object":
+                manifest["output_hashes"] = "model.bin"
+                named = "output_hashes"
             else:
                 cfg["epochs"] = "3"
                 named = "epochs"
@@ -302,6 +320,12 @@ class TestEval:
         assert out.read_bytes() == trained
         assert os.listdir(tmp_path) == ["eval.json"]
 
+    def test_eval_of_several_blocks(self, big_run, capsys):
+        _, run = big_run  # its test split holds 1,200 nodes
+        assert main(["eval", "--run", run]) == EXIT_OK
+        with open(os.path.join(run, "metrics.json"), "rb") as fh:
+            assert capsys.readouterr().out.encode() == fh.read()
+
     def test_changed_data_is_load_error(self, ratio_run, data_dir, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -372,6 +396,21 @@ class TestEval:
         code = main(["eval", "--run", str(run)])
         assert code == EXIT_LOAD
         assert "flag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["other_runs_model", "no_recorded_hash"])
+    def test_unverified_model_is_load_error(self, trained_run, ratio_run, tmp_path,
+                                            capsys, case):
+        run = _copy_run(trained_run, tmp_path)
+        if case == "other_runs_model":
+            # Same graph, so the dimensions fit; only the recorded hash tells.
+            shutil.copy(os.path.join(ratio_run, "model.bin"), run / "model.bin")
+        else:
+            manifest = json.loads((run / "manifest.json").read_text())
+            del manifest["output_hashes"]
+            (run / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["eval", "--run", str(run)])
+        assert code == EXIT_LOAD
+        assert str(run / "model.bin") in capsys.readouterr().err
 
     def test_wrong_tensor_shape_is_load_error(self, trained_run, tmp_path, capsys):
         run = _copy_run(trained_run, tmp_path)
@@ -446,6 +485,27 @@ class TestExportEmbeddings:
         assert np.array_equal(rows[:, 0], ids)
         assert np.array_equal(rows[:, 1], batch.labels)
         assert np.array_equal(rows[:, 2:], z)
+
+    def test_rows_of_several_blocks(self, big_run, tmp_path):
+        data, run = big_run
+        out = tmp_path / "emb.csv"
+        code = main(["export-embeddings", "--run", run, "--out", str(out)])
+        assert code == EXIT_OK
+        graph = load_graph(data)
+        split = stratified_split(graph, (0.4, 0.2, 0.4), seed_streams(0)["split"])
+        graph = normalize_features(graph, split)
+        params = DignnParams.load(os.path.join(run, "model.bin"))
+        ids = graph.labeled_ids()
+        assert ids.size > 2 * SCORE_BLOCK
+        blocks = [M.forward(params, gather_batch(graph, ids[i:i + SCORE_BLOCK]),
+                            params.cfg).z.value
+                  for i in range(0, ids.size, SCORE_BLOCK)]
+        whole = M.forward(params, gather_batch(graph, ids), params.cfg).z.value
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], ids)
+        assert np.array_equal(rows[:, 1], graph.labels[ids])
+        assert np.array_equal(rows[:, 2:], np.concatenate(blocks))
+        assert np.max(np.abs(rows[:, 2:] - whole)) <= 1e-12
 
     def test_missing_model_is_load_error(self, trained_run, tmp_path, capsys):
         run = _copy_run(trained_run, tmp_path)

@@ -1,17 +1,19 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dignn.autodiff as ad
+import dignn.model as M
 import dignn.trainer as trainer
-from dignn.errors import DivergenceError
+from dignn.errors import DivergenceError, UndefinedMetricError
 from dignn.graphdata import SynthConfig, gather_batch, stratified_split, synth_generate
-from dignn.metrics import MetricsReport
+from dignn.metrics import MetricsReport, compute_report
 from dignn.model import DignnConfig, DignnParams
 from dignn.rng import generator, seed_streams
 from dignn.trainer import (
-    ABLATIONS, TrainConfig, build_optimizer, evaluate, gradcheck,
+    ABLATIONS, SCORE_BLOCK, TrainConfig, build_optimizer, evaluate, gradcheck,
     smoothed_features, train, train_smoothing_baseline, _batch_losses, _toy_graph,
 )
 
@@ -227,6 +229,22 @@ class TestLazyGrads:
         assert params["enc_a_w1"].grad is not None
 
 
+@pytest.fixture(scope="module")
+def score_data():
+    """A 9,000-node graph and freshly initialized parameters."""
+    g = synth_generate(SynthConfig(num_nodes=9000, feature_dim=16, seed=1))
+    return g, DignnParams.init(g.num_nodes, g.feature_dim, DignnConfig(), seed=0)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEvaluate:
     def test_returns_report_and_is_deterministic(self, small_data):
         g, split = small_data
@@ -235,6 +253,38 @@ class TestEvaluate:
         b = evaluate(params, g, split.test)
         assert isinstance(a, MetricsReport)
         assert a == b
+
+    def test_empty_ids_are_an_undefined_metric(self, score_data):
+        g, params = score_data
+        for ids in ([], np.array([], dtype=np.int64)):
+            with pytest.raises(UndefinedMetricError):
+                evaluate(params, g, ids)
+
+    @pytest.mark.parametrize("n", [1, SCORE_BLOCK, SCORE_BLOCK + 1,
+                                   5 * SCORE_BLOCK // 2])
+    def test_report_of_the_per_block_predictions(self, score_data, n):
+        g, params = score_data
+        ids = g.labeled_ids()[::-1][:n]
+        parts = [M.predict(params, gather_batch(g, ids[i:i + SCORE_BLOCK]),
+                           params.cfg) for i in range(0, n, SCORE_BLOCK)]
+        args = (np.concatenate([s for _, s in parts]),
+                np.concatenate([p for p, _ in parts]), g.labels[ids])
+        if n == 1:  # one class: the report is undefined either way
+            with pytest.raises(UndefinedMetricError):
+                compute_report(*args)
+            with pytest.raises(UndefinedMetricError):
+                evaluate(params, g, ids)
+        else:
+            assert evaluate(params, g, ids) == compute_report(*args)
+
+    def test_peak_memory_does_not_grow_with_the_id_count(self, score_data):
+        g, params = score_data
+        ids = g.labeled_ids()
+        assert ids.size >= 4 * 2048
+        evaluate(params, g, ids[:2048])  # warm-up: one-time allocations
+        small = _peak_bytes(lambda: evaluate(params, g, ids[:2048]))
+        large = _peak_bytes(lambda: evaluate(params, g, ids[:4 * 2048]))
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestGradcheck:
