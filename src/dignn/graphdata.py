@@ -82,22 +82,31 @@ class SynthConfig:
 
 
 def build_union_adj(relations: dict[str, np.ndarray], num_nodes: int) -> sp.csr_matrix:
-    """Symmetric deduplicated union of all relations, self-loops dropped."""
-    pairs = [e.reshape(-1, 2) for e in relations.values() if e.size]
-    if not pairs:
-        return sp.csr_matrix((num_nodes, num_nodes), dtype=np.float64)
-    edges = np.vstack(pairs).astype(np.int64)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    """Symmetric deduplicated union of all relations, self-loops dropped.
+
+    Each directed edge becomes the int64 code ``src * N + dst``. The codes
+    are sorted and a code equal to its predecessor is dropped, so the
+    survivors are the entries in row-major order: ``code % N`` is the
+    column, and row r starts at the first code >= r * N. The result is a
+    canonical CSR with float64 ones. The dedup is a sort, not
+    ``np.unique``: without ``return_inverse``, numpy 2.4 runs ``np.unique``
+    through a hash table, which took 10 s on the 7.7 M directed edges of a
+    graph with YelpChi's edge count, against 0.14 s for the sort.
+    """
+    n = num_nodes
+    src, dst = np.vstack([np.empty((0, 2), np.int64),
+                          *(e.reshape(-1, 2) for e in relations.values())]).T
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    codes = np.unique(src * num_nodes + dst)
-    rows, cols = codes // num_nodes, codes % num_nodes
-    adj = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(num_nodes, num_nodes)
-    )
-    adj.sort_indices()
-    return adj
+    codes = np.concatenate([src * n + dst, dst * n + src])
+    del src, dst  # at YelpChi's edge count, 62 MB that the rest never reads
+    codes.sort()
+    first = np.empty(codes.size, dtype=bool)
+    first[:1] = True  # a no-op when every edge was a self-loop
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    codes = codes[first]
+    indptr = np.searchsorted(codes, np.arange(n + 1) * n)
+    return sp.csr_matrix((np.ones(codes.size), codes % n, indptr), shape=(n, n))
 
 
 def _read_exact(path: str, dtype, count: int, what: str) -> np.ndarray:

@@ -67,6 +67,67 @@ class TestLoadSave:
         with pytest.raises(GraphLoadError, match="out of range"):
             load_graph(str(tmp_path))
 
+    def test_only_self_loops_load_as_empty_adjacency(self, tmp_path):
+        g = toy_graph(edges=((1, 1), (2, 2)))
+        save_graph(g, str(tmp_path))
+        adj = load_graph(str(tmp_path)).union_adj
+        assert adj.shape == (3, 3) and adj.nnz == 0
+        assert list(adj.indptr) == [0, 0, 0, 0]
+
+
+def union_oracle(relations) -> list[tuple[int, int]]:
+    """Entries of the union adjacency in row-major order, from a set of
+    undirected (min, max) pairs mirrored to both directions."""
+    pairs = {(min(u, v), max(u, v))
+             for e in relations.values() for u, v in e.tolist() if u != v}
+    return sorted(pairs | {(v, u) for u, v in pairs})
+
+
+class TestBuildUnionAdj:
+    def check(self, relations, n):
+        rels = {k: np.asarray(v, dtype=np.uint32).reshape(-1, 2)
+                for k, v in relations.items()}
+        adj = build_union_adj(rels, n)
+        assert adj.format == "csr" and adj.shape == (n, n)
+        assert adj.has_canonical_format
+        assert adj.indices.dtype == np.int32 and adj.indptr.dtype == np.int32
+        assert adj.data.dtype == np.float64 and np.all(adj.data == 1.0)
+        rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+        assert list(zip(rows.tolist(), adj.indices.tolist())) == union_oracle(rels)
+        return adj
+
+    def test_duplicates_within_and_across_relations(self):
+        adj = self.check({"A": [[0, 1], [0, 1], [2, 3]], "B": [[0, 1], [3, 2]]}, 4)
+        assert adj.nnz == 4
+
+    def test_both_directions_given(self):
+        adj = self.check({"A": [[4, 1], [1, 4], [2, 0], [0, 2]]}, 5)
+        assert list(adj.indptr) == [0, 1, 2, 3, 3, 4]
+        assert list(adj.indices) == [2, 4, 0, 1]
+
+    def test_empty_relation_beside_a_nonempty_one(self):
+        self.check({"A": np.empty((0, 2)), "B": [[1, 2]]}, 3)
+
+    def test_trailing_isolated_nodes(self):
+        adj = self.check({"A": [[0, 1]]}, 6)
+        assert list(adj.indptr) == [0, 1, 2, 2, 2, 2, 2]
+
+    def test_unsorted_input(self):
+        rng = np.random.default_rng(3)
+        edges = rng.integers(0, 50, (400, 2))
+        self.check({"A": edges[::-1], "B": edges[:100]}, 50)
+
+    def test_only_self_loops(self):
+        adj = self.check({"A": [[1, 1], [2, 2]]}, 3)
+        assert adj.nnz == 0 and list(adj.indptr) == [0, 0, 0, 0]
+
+    def test_no_relations(self):
+        assert self.check({}, 3).nnz == 0
+
+    def test_synth_graph(self):
+        g = synth_generate(SynthConfig(num_nodes=5000, avg_degree=40, seed=11))
+        assert self.check(g.relations, g.num_nodes).nnz > 150_000
+
 
 class TestStratifiedSplit:
     def make_graph(self, n_fraud=10, n_benign=90):
