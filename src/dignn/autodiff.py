@@ -222,6 +222,28 @@ def mse(pred: Var, target) -> Var:
     return out
 
 
+def _compact_columns(indices: np.ndarray, cols: int):
+    """The sorted distinct values ``used`` of ``indices`` (each in
+    [0, cols)) and each entry's position in ``used``: the result of
+    ``np.unique(indices, return_inverse=True)``, from a boolean mask over the
+    columns and its running count, in O(nnz + cols) and without a sort."""
+    mask = np.zeros(cols, dtype=bool)
+    mask[indices] = True
+    return np.flatnonzero(mask), np.cumsum(mask)[indices] - 1
+
+
+def _joined_rows(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The C-contiguous (k+1, cols) array whose rows are [w; b], read in
+    place; w and b must be its first k rows and its last row."""
+    w1 = w.base
+    if (not isinstance(w1, np.ndarray) or b.base is not w1
+            or w1.shape != (w.shape[0] + 1, w.shape[1]) or not w1.flags.c_contiguous
+            or w.ctypes.data != w1.ctypes.data or b.ctypes.data != w1[-1:].ctypes.data):
+        raise DimensionError("sparse_target_mse: w and b must be the first rows and "
+                             "the last row of one C-contiguous array")
+    return w1
+
+
 def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
     """mean((h @ w + b - target)**2) for a constant sparse target, without
     forming the (rows, cols) prediction.
@@ -232,6 +254,11 @@ def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
     that A uses. The gradients take the same closed form (the Gramian identity
     of implicit-feedback matrix factorization): dh1 = c(h1 W1 W1^T - A W1^T)
     and dW1 = c(h1^T h1 W1 - h1^T A).
+
+    W1 is read in place, so w and b must be consecutive row-views of one
+    (k+1, cols) array (``DignnParams`` allocates ``dec_a_w2`` and
+    ``dec_a_b2`` so); anything else raises ``DimensionError``. Their grads
+    are row-views of one array too.
     """
     rows, k = h.value.shape
     cols = w.value.shape[1]
@@ -240,12 +267,12 @@ def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
             f"sparse_target_mse: h {h.value.shape}, w {w.value.shape}, "
             f"b {b.value.shape}, target {target.shape}"
         )
+    w1 = _joined_rows(w.value, b.value)              # (k+1, cols)
     target = sp.csr_matrix(target, dtype=np.float64, copy=True)
     target.sum_duplicates()  # ||A||^2 = sum(data^2) holds for unique entries only
-    used, col_of = np.unique(target.indices, return_inverse=True)
+    used, col_of = _compact_columns(target.indices, cols)
     a_used = sp.csr_matrix((target.data, col_of, target.indptr), shape=(rows, used.size))
     h1 = np.hstack([h.value, np.ones((rows, 1))])    # (rows, k+1)
-    w1 = np.vstack([w.value, b.value])               # (k+1, cols)
     w1w1 = w1 @ w1.T                                 # (k+1, k+1)
     aw1 = a_used @ w1[:, used].T                     # A W1^T, (rows, k+1)
     gram = h1.T @ h1                                 # (k+1, k+1)

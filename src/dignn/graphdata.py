@@ -292,6 +292,9 @@ def synth_generate(cfg: SynthConfig) -> FraudGraph:
         clash = u == v
 
     relations = {"SYN": np.column_stack([u, v]).astype(np.uint32)}
+    # build_union_adj reads only the relations: at YelpChi's edge count these
+    # per-edge arrays are about 165 MB that would stay alive through its peak.
+    del same, same_cls, cls_u, cls_v, clash, mask, u, v
     return FraudGraph(
         features=features,
         labels=labels,

@@ -5,7 +5,9 @@ cross-view exclusion)."""
 from __future__ import annotations
 
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass
 from collections import OrderedDict
 
@@ -20,6 +22,7 @@ from .rng import generator
 MODEL_MAGIC = b"DIGNN\x00"
 MODEL_VERSION = 1
 MODEL_FLAG = 1  # header byte kept so that saved models stay readable; always 1
+GLOROT_CHUNK = 16_384  # 128 KB of float64
 
 
 @dataclass
@@ -81,14 +84,31 @@ class DignnParams:
         ]
 
     @classmethod
+    def empty_tensors(cls, n_nodes: int, feat_dim: int,
+                      cfg: DignnConfig) -> "OrderedDict[str, np.ndarray]":
+        """Uninitialized arrays in ``shape_spec`` order. ``dec_a_w2`` and
+        ``dec_a_b2`` are the first rows and the last row of one C-contiguous
+        (hidden_dim + 1, n_nodes) buffer, the [w; b] that
+        ``ad.sparse_target_mse`` reads in place."""
+        h = cfg.hidden_dim
+        dec_a = np.empty((h + 1, n_nodes))
+        joined = {"dec_a_w2": dec_a[:h], "dec_a_b2": dec_a[h:]}
+        return OrderedDict(
+            (name, joined[name] if name in joined else np.empty(shape))
+            for name, shape in cls.shape_spec(n_nodes, feat_dim, cfg))
+
+    @classmethod
     def init(cls, n_nodes: int, feat_dim: int, cfg: DignnConfig, seed) -> "DignnParams":
         """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
         cfg.validate()
         rng = generator(seed)
         tensors = OrderedDict()
-        for name, shape in cls.shape_spec(n_nodes, feat_dim, cfg):
-            tensors[name] = Var(np.zeros(shape) if cls.is_bias(name)
-                                else glorot(rng, shape))
+        for name, a in cls.empty_tensors(n_nodes, feat_dim, cfg).items():
+            if cls.is_bias(name):
+                a[...] = 0.0
+            else:
+                glorot(rng, a.shape, out=a)
+            tensors[name] = Var(a)
         return cls(tensors, n_nodes, feat_dim, cfg)
 
     @staticmethod
@@ -122,58 +142,88 @@ class DignnParams:
                 fh.write(struct.pack("<I", len(raw)))
                 fh.write(raw)
                 fh.write(struct.pack("<II", *var.value.shape))
-                fh.write(var.value.astype("<f8").tobytes())
+                fh.write(np.asarray(var.value, "<f8"))
 
     @classmethod
     def load(cls, path: str) -> "DignnParams":
-        def read(fh, nbytes: int) -> bytes:
-            buf = fh.read(nbytes)
-            if len(buf) != nbytes:
+        """Read a model written by ``save``. Every tensor's name and shape are
+        checked against ``shape_spec``, and the file's size against the one
+        they imply, before anything is allocated; each tensor is then read
+        straight into its array from ``empty_tensors``."""
+        def span(nbytes: int) -> int:
+            """Where the next ``nbytes`` end, which must be inside the file."""
+            end = fh.tell() + nbytes
+            if end > size:
                 raise GraphLoadError(f"truncated model file: {path}")
-            return buf
+            return end
+
+        def read(nbytes: int) -> bytes:
+            span(nbytes)
+            return fh.read(nbytes)
 
         try:
             fh = open(path, "rb")
         except OSError as exc:
             raise GraphLoadError(f"cannot open model file {path}: {exc}") from exc
         with fh:
+            size = os.fstat(fh.fileno()).st_size
             if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
                 raise GraphLoadError(f"not a model file: {path}")
-            version, n, d_in, d, h, n_tensors = struct.unpack("<6I", read(fh, 24))
+            version, n, d_in, d, h, n_tensors = struct.unpack("<6I", read(24))
             if version != MODEL_VERSION:
                 raise GraphLoadError(f"unsupported model version {version}")
-            (flag,) = struct.unpack("<B", read(fh, 1))
+            (flag,) = struct.unpack("<B", read(1))
             if flag != MODEL_FLAG:
                 raise GraphLoadError(f"unsupported model flag byte {flag} in {path}")
             cfg = DignnConfig(embed_dim=d, hidden_dim=h)
-            tensors = OrderedDict()
-            for _ in range(n_tensors):
-                (nlen,) = struct.unpack("<I", read(fh, 4))
-                raw = read(fh, nlen)
+            spec = cls.shape_spec(n, d_in, cfg)
+            if n_tensors != len(spec):
+                raise GraphLoadError(f"unexpected tensor layout in {path}")
+            offsets = []
+            for name, shape in spec:
+                (nlen,) = struct.unpack("<I", read(4))
+                raw = read(nlen)
                 try:
-                    name = raw.decode()
+                    found = raw.decode()
                 except UnicodeDecodeError as exc:
                     raise GraphLoadError(
                         f"tensor name {raw!r} is not UTF-8 in {path}") from exc
-                rows, cols = struct.unpack("<II", read(fh, 8))
-                buf = read(fh, rows * cols * 8)
-                tensors[name] = Var(
-                    np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
-                )
-        expected = cls.shape_spec(n, d_in, cfg)
-        if list(tensors) != [name for name, _ in expected]:
-            raise GraphLoadError(f"unexpected tensor layout in {path}")
-        for name, shape in expected:
-            if tensors[name].shape != shape:
-                raise GraphLoadError(f"tensor {name} has shape {tensors[name].shape}, "
-                                     f"expected {shape}, in {path}")
-        return cls(tensors, n, d_in, cfg)
+                if found != name:
+                    raise GraphLoadError(f"unexpected tensor layout in {path}: "
+                                         f"found {found!r} where {name!r} belongs")
+                rows, cols = struct.unpack("<II", read(8))
+                if (rows, cols) != shape:
+                    raise GraphLoadError(f"tensor {name} has shape {(rows, cols)}, "
+                                         f"expected {shape}, in {path}")
+                offsets.append(fh.tell())
+                fh.seek(span(rows * cols * 8))
+            if fh.tell() != size:
+                raise GraphLoadError(f"trailing bytes in model file {path}: {size} "
+                                     f"bytes, the last tensor ends at {fh.tell()}")
+            tensors = cls.empty_tensors(n, d_in, cfg)
+            for a, offset in zip(tensors.values(), offsets):
+                fh.seek(offset)
+                if fh.readinto(a) != a.nbytes:
+                    raise GraphLoadError(f"truncated model file: {path}")
+                if sys.byteorder != "little":
+                    a.byteswap(inplace=True)
+        return cls(OrderedDict((name, Var(a)) for name, a in tensors.items()),
+                   n, d_in, cfg)
 
 
-def glorot(rng, shape) -> np.ndarray:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) weights."""
+def glorot(rng, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, drawn into ``out`` when
+    given: the same bits as ``rng.uniform(-limit, limit, shape)``. The draw
+    goes ``GLOROT_CHUNK`` values at a time, so that the scale and shift
+    run on values still in cache."""
     limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(-limit, limit, size=shape)
+    out = np.empty(shape) if out is None else out
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, GLOROT_CHUNK):
+        chunk = rng.random(out=flat[lo:lo + GLOROT_CHUNK])
+        chunk *= 2.0 * limit
+        chunk -= limit
+    return out
 
 
 def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:

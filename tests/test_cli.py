@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 from dataclasses import fields
 from functools import partial
 
@@ -376,6 +377,21 @@ class TestEval:
         code = main(["eval", "--run", str(run)])
         assert code == EXIT_LOAD
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, message", [("huge_header", "truncated"),
+                                               ("trailing_bytes", "trailing bytes")])
+    def test_size_other_than_header_implies_is_load_error(self, trained_run, tmp_path,
+                                                          capsys, case, message):
+        run = _copy_run(trained_run, tmp_path)
+        blob = _model_bytes(trained_run)
+        if case == "huge_header":  # n and enc_a_w1's rows claim 2**31 nodes
+            blob[10:14] = blob[43:47] = struct.pack("<I", 2 ** 31)
+        else:
+            blob += bytes(8)
+        (run / "model.bin").write_bytes(bytes(blob))
+        code = main(["eval", "--run", str(run)])
+        assert code == EXIT_LOAD
+        assert message in capsys.readouterr().err
 
     def test_non_utf8_tensor_name_is_load_error(self, trained_run, tmp_path, capsys):
         run = _copy_run(trained_run, tmp_path)

@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import dignn.model as M
 from dignn.errors import DimensionError, GraphLoadError
 from dignn.graphdata import BatchSubgraph
 from dignn.model import DignnConfig, DignnParams
+from dignn.rng import generator
+from dignn.trainer import gradcheck
 
 
 def small_cfg(**over):
@@ -75,6 +79,79 @@ class TestParams:
         with pytest.raises(GraphLoadError):
             DignnParams.load(str(path))
 
+    def test_load_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "m.bin"
+        DignnParams.init(6, 4, small_cfg(), seed=1).save(str(path))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(GraphLoadError, match="trailing bytes"):
+            DignnParams.load(str(path))
+
+    def test_load_checks_size_before_allocating(self, tmp_path):
+        # The header and the first tensor's header claim 2**31 nodes, which a
+        # read before the size check would try to allocate (1 TiB).
+        path = tmp_path / "m.bin"
+        DignnParams.init(6, 4, small_cfg(), seed=1).save(str(path))
+        blob = bytearray(path.read_bytes())
+        assert blob[35:43] == b"enc_a_w1"
+        blob[10:14] = blob[43:47] = struct.pack("<I", 2 ** 31)  # n; enc_a_w1 rows
+        path.write_bytes(bytes(blob))
+        with pytest.raises(GraphLoadError, match="truncated"):
+            DignnParams.load(str(path))
+
+    def test_save_writes_the_bytes_of_astype(self, tmp_path):
+        # The serializer that save replaced, kept as the reference format.
+        def reference(params, path):
+            with open(path, "wb") as fh:
+                fh.write(M.MODEL_MAGIC)
+                fh.write(struct.pack("<6I", M.MODEL_VERSION, params.n_nodes,
+                                     params.feat_dim, params.cfg.embed_dim,
+                                     params.cfg.hidden_dim, len(params.tensors)))
+                fh.write(struct.pack("<B", M.MODEL_FLAG))
+                for name, var in params.tensors.items():
+                    fh.write(struct.pack("<I", len(name.encode())) + name.encode())
+                    fh.write(struct.pack("<II", *var.value.shape))
+                    fh.write(var.value.astype("<f8").tobytes())
+
+        p = DignnParams.init(6, 4, small_cfg(), seed=1)
+        rng = np.random.default_rng(1)
+        for var in p.tensors.values():
+            var.value[...] = rng.standard_normal(var.shape) * 10.0 ** rng.integers(
+                -300, 300, var.shape)
+        p["dec_a_b2"].value[0, :4] = [-0.0, np.inf, np.nan, 5e-324]
+        p.save(str(tmp_path / "new.bin"))
+        reference(p, str(tmp_path / "old.bin"))
+        assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+
+    def test_init_draws_glorot_uniform(self):
+        # The weights init draws in place are the bits of rng.uniform.
+        cfg = small_cfg()
+        p = DignnParams.init(6, 4, cfg, seed=3)
+        rng = generator(3)
+        for name, shape in DignnParams.shape_spec(6, 4, cfg):
+            if not DignnParams.is_bias(name):
+                limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+                assert np.array_equal(p[name].value,
+                                      rng.uniform(-limit, limit, size=shape)), name
+
+    def test_init_and_load_allocate_only_the_tensors(self, tmp_path):
+        cfg = DignnConfig()
+        path = str(tmp_path / "m.bin")
+        tracemalloc.start()
+        try:
+            p = DignnParams.init(20_000, 8, cfg, seed=0)
+            _, init_peak = tracemalloc.get_traced_memory()
+            p.save(path)
+            del p
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            DignnParams.load(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        total = sum(8 * r * c for _, (r, c) in DignnParams.shape_spec(20_000, 8, cfg))
+        assert init_peak <= 1.1 * total
+        assert load_peak - base <= 1.1 * total
+
     def test_snapshot_restore(self):
         p = DignnParams.init(6, 4, small_cfg(), seed=2)
         snap = p.snapshot(["clf_w"])
@@ -92,6 +169,48 @@ class TestParams:
             DignnConfig(alpha=-0.1).validate()
         with pytest.raises(ValueError):
             DignnConfig(sigma_enc=0.0).validate()
+
+
+def assert_decoder_layer_joined(p):
+    """dec_a_w2 and dec_a_b2 are the rows of one array, as
+    ``ad.sparse_target_mse`` requires."""
+    w1 = ad._joined_rows(p["dec_a_w2"].value, p["dec_a_b2"].value)
+    assert w1.shape == (p.cfg.hidden_dim + 1, p.n_nodes)
+
+
+class TestJoinedDecoderLayer:
+    def test_after_init_and_load(self, tmp_path):
+        p = DignnParams.init(6, 4, small_cfg(), seed=1)
+        assert_decoder_layer_joined(p)
+        p.save(str(tmp_path / "m.bin"))
+        assert_decoder_layer_joined(DignnParams.load(str(tmp_path / "m.bin")))
+
+    def test_after_adam_step_and_restore(self):
+        p = DignnParams.init(6, 4, small_cfg(), seed=2)
+        names = ["dec_a_w2", "dec_a_b2"]
+        snap = p.snapshot(names)
+        opt = ad.Adam({n: p[n] for n in names})
+        for n in names:
+            p[n].grad = np.ones(p[n].shape)
+        opt.step()
+        assert_decoder_layer_joined(p)
+        assert not np.array_equal(p["dec_a_b2"].value, snap["dec_a_b2"])
+        p.restore(snap)
+        assert_decoder_layer_joined(p)
+        assert np.array_equal(p["dec_a_b2"].value, snap["dec_a_b2"])
+
+    def test_after_gradcheck_perturbation(self, monkeypatch):
+        made = []
+        init = DignnParams.init.__func__
+
+        def recording_init(cls, *args, **kwargs):
+            made.append(init(cls, *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(DignnParams, "init", classmethod(recording_init))
+        assert gradcheck()["passed"]
+        assert len(made) == 1
+        assert_decoder_layer_joined(made[0])
 
 
 class TestEncodeAndFuse:
