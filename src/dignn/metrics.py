@@ -6,9 +6,8 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .errors import UndefinedMetricError
+from .errors import DimensionError, InvalidLabelError, UndefinedMetricError
 
 
 @dataclass
@@ -30,20 +29,47 @@ class MetricsReport:
         return d
 
 
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of the flattened array; tied values share the mean of
+    their positions, so every rank is an integer or a half-integer.
+
+    Equals ``scipy.stats.rankdata(x, method="average")``, NaN included: if
+    any value is NaN, every rank is NaN.
+    """
+    x = np.ravel(x)
+    n = x.size
+    if np.isnan(x).any():
+        return np.full(n, np.nan)
+    order = np.argsort(x)
+    sorted_x = x[order]
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    starts[1:] = sorted_x[1:] != sorted_x[:-1]
+    first = np.flatnonzero(starts)
+    end = np.append(first[1:], n)
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((first + end + 1) / 2.0, end - first)
+    return ranks
+
+
 def auc_rank(scores, labels) -> float:
     """Rank-statistic AUC: average ranks, so ties count one half.
 
     Equals the probability that a uniformly random positive outranks a
-    uniformly random negative.
+    uniformly random negative. Scores and labels are 1-D and of one
+    length, and every label is 0 or 1.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if scores.ndim != 1 or scores.shape != labels.shape:
+        raise DimensionError(f"auc_rank: scores {scores.shape} vs labels {labels.shape}")
+    if ((labels != 0) & (labels != 1)).any():
+        raise InvalidLabelError("auc_rank: labels must be 0 or 1")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
-    pos_rank_sum = ranks[labels == 1].sum()
+    pos_rank_sum = _average_ranks(scores)[labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -1,12 +1,19 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
-from dignn.errors import UndefinedMetricError
-from dignn.metrics import MetricsReport, auc_rank, compute_report, f1_macro, gmean
+import dignn
+from dignn.errors import DimensionError, InvalidLabelError, UndefinedMetricError
+from dignn.metrics import (
+    MetricsReport, _average_ranks, auc_rank, compute_report, f1_macro, gmean)
 
 
 def pairwise_auc(scores, labels):
@@ -49,6 +56,76 @@ class TestAuc:
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedMetricError):
             auc_rank([0.1, 0.9], [1, 1])
+
+    def test_single_positive(self):
+        # the positive outranks two of the three negatives
+        assert auc_rank([0.1, 0.6, 0.3, 0.9], [0, 1, 0, 0]) == 2 / 3
+
+    def test_nan_score_gives_nan(self):
+        assert math.isnan(auc_rank([0.1, np.nan, 0.8, 0.9], [0, 0, 1, 1]))
+
+    @pytest.mark.parametrize("labels", [[-1, 0, 1], [0, 2, 1]])
+    def test_label_outside_zero_one_rejected(self, labels):
+        with pytest.raises(InvalidLabelError):
+            auc_rank([0.1, 0.2, 0.9], labels)
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.1, 0.2, 0.9], [0, 1]),
+        ([0.1, 0.2], [0, 1, 1]),
+        ([[0.1, 0.2], [0.3, 0.4]], [[0, 1], [1, 0]]),
+    ])
+    def test_shape_mismatch_rejected(self, scores, labels):
+        with pytest.raises(DimensionError):
+            auc_rank(scores, labels)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_rankdata_formula(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 5000))
+        scores = rng.random(n) if seed % 2 else rng.choice(np.linspace(0, 1, 11), n)
+        labels = rng.integers(0, 2, n)
+        labels[:2] = [0, 1]
+        n_pos = int((labels == 1).sum())
+        n_neg = int((labels == 0).sum())
+        ranks = rankdata(scores, method="average")
+        old = float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+        assert auc_rank(scores, labels) == old
+
+
+class TestAverageRanks:
+    """The numpy ranks against scipy's, value for value and in dtype."""
+
+    @staticmethod
+    def assert_matches_rankdata(x):
+        expected = rankdata(x, method="average")
+        got = _average_ranks(x)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("x", [
+        [0.5, 0.5, 0.5, 0.5],
+        [3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 2.0, 3.0],
+        [-0.0, 0.0, 1.0, -0.0, -1.0, 0.0],
+        np.array([5, -2, 5, 7, -2, 0], dtype=np.int64),
+        np.array([True, False, True, True, False]),
+        [0.7],
+        np.array([], dtype=np.float64),
+    ], ids=["all_tied", "many_ties", "signed_zero", "int", "bool", "single", "empty"])
+    def test_cases(self, x):
+        self.assert_matches_rankdata(x)
+
+    def test_nan_makes_every_rank_nan(self):
+        x = np.array([0.2, np.nan, 0.1, 0.2])
+        self.assert_matches_rankdata(x)
+        assert np.isnan(_average_ranks(x)).all()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_tie_heavy(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        x = rng.choice(np.array([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0]), n)
+        self.assert_matches_rankdata(x)
+        self.assert_matches_rankdata(rng.random(n))
 
 
 class TestGmean:
@@ -115,3 +192,20 @@ class TestComputeReport:
         assert rep.auc == auc_rank(scores, labels)
         assert rep.f1_macro == f1_macro(preds, labels)
         assert rep.gmean == gmean(rep.tp, rep.fn, rep.tn, rep.fp)
+
+
+def test_import_loads_no_scipy_subpackage_but_sparse():
+    """``import dignn, dignn.cli`` in a fresh interpreter brings in
+    scipy.sparse and no other public scipy subpackage (scipy.stats alone
+    pulls in about 420 more modules and 50 MB)."""
+    code = (
+        "import sys, dignn, dignn.cli\n"
+        "print(' '.join(sorted(\n"
+        "    name for name, mod in sys.modules.items()\n"
+        "    if name.startswith('scipy.') and name.count('.') == 1\n"
+        "    and not name.split('.')[1].startswith('_') and hasattr(mod, '__path__'))))\n"
+    )
+    src = str(Path(dignn.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True).stdout
+    assert set(out.split()) <= {"scipy.sparse"}
