@@ -367,14 +367,12 @@ class Adam:
     (bias vectors are exempt). One shared step counter, per-tensor moments.
     """
 
-    def __init__(self, params, lr=0.001, weight_decay=0.0005,
-                 beta1=0.9, beta2=0.999, eps=1e-8, no_decay=()):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr, weight_decay, no_decay=()):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.no_decay = frozenset(no_decay)
         self.t = 0
         self.m = {k: np.zeros(v.shape) for k, v in self.params.items()}

@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from functools import partial
 
 from .errors import (
@@ -52,10 +52,22 @@ CONFIG_DEFAULTS = {**_TRAIN_DEFAULTS, **_MODEL_DEFAULTS, **DEFAULT_RATIOS}
 # under ``from __future__ import annotations``).
 CONFIG_KEYS = {k: type(v) for k, v in CONFIG_DEFAULTS.items()}
 _OVERRIDES = ("seed", "epochs", "batch_size", "alpha", "beta", "ablation", "mode")
+_CHOICES = {"ablation": ABLATIONS, "mode": MODES}
+
+# The option strings of the synth flag that sets each SynthConfig field; the
+# flag's default and type are the field's.
+SYNTH_FLAGS = {"num_nodes": ("--n",), "feature_dim": ("--dim",),
+               "fraud_rate": ("--fraud-rate",), "mean_separation": ("--delta",),
+               "homophily": ("--homophily", "--h"), "avg_degree": ("--avg-degree",),
+               "seed": ("--seed",)}
 
 
 class UsageError(DignnError):
     pass
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def read_config_file(path: str) -> dict:
@@ -213,7 +225,7 @@ def _test_report(cfg: dict, params: DignnParams, graph, split) -> dict:
 def cmd_train(args) -> int:
     recorded = {}
     if args.manifest:
-        fixed = [f"--{k.replace('_', '-')}" for k in ("data", "config", *_OVERRIDES)
+        fixed = [_flag(k) for k in ("data", "config", *_OVERRIDES)
                  if getattr(args, k) is not None]
         if fixed:
             raise UsageError(f"--manifest fixes the run; {', '.join(fixed)} "
@@ -274,12 +286,8 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     try:
-        cfg = SynthConfig(
-            num_nodes=args.n, feature_dim=args.dim, fraud_rate=args.fraud_rate,
-            mean_separation=args.delta, homophily=args.homophily,
-            avg_degree=args.avg_degree, seed=args.seed,
-        )
-        graph = synth_generate(cfg)
+        graph = synth_generate(
+            SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)}))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _output(args.out, partial(save_graph, graph))
@@ -339,13 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", help="graph directory")
     t.add_argument("--config", help="key=value config file")
     t.add_argument("--manifest", help="re-run from a previously written manifest")
-    t.add_argument("--seed", type=int)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch-size", type=int, dest="batch_size")
-    t.add_argument("--alpha", type=float)
-    t.add_argument("--beta", type=float)
-    t.add_argument("--ablation", choices=ABLATIONS)
-    t.add_argument("--mode", choices=MODES)
+    for key in _OVERRIDES:
+        t.add_argument(_flag(key), dest=key, type=CONFIG_KEYS[key],
+                       choices=_CHOICES.get(key))
     t.add_argument("--out", required=True, help="output directory")
     t.set_defaults(func=cmd_train)
 
@@ -355,15 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("synth", help="generate a synthetic graph directory")
-    s.add_argument("--n", type=int, default=1000)
-    s.add_argument("--dim", type=int, default=16)
-    s.add_argument("--fraud-rate", type=float, default=0.15, dest="fraud_rate")
-    s.add_argument("--homophily", "--h", type=float, default=0.19,
-                   dest="homophily")
-    s.add_argument("--delta", type=float, default=2.33,
-                   help="class feature-mean separation")
-    s.add_argument("--avg-degree", type=float, default=10.0, dest="avg_degree")
-    s.add_argument("--seed", type=int, default=0)
+    for f in fields(SynthConfig):
+        s.add_argument(*SYNTH_FLAGS[f.name], dest=f.name, type=type(f.default),
+                       default=f.default, help=f"SynthConfig.{f.name}")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_synth)
 

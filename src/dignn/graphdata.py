@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +56,15 @@ class BatchSubgraph:
     labels: np.ndarray        # (b,) in {0, 1}
 
 
+def require_finite_floats(cfg):
+    """Raise ``ValueError`` naming the first float field of the dataclass
+    ``cfg`` that is NaN or infinite."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, not {value}")
+
+
 @dataclass
 class SynthConfig:
     num_nodes: int = 1000
@@ -67,6 +76,7 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
+        require_finite_floats(self)
         if self.num_nodes < 4:
             raise ValueError("num_nodes must be at least 4")
         if not 0.0 < self.fraud_rate < 1.0:
@@ -79,6 +89,8 @@ class SynthConfig:
             raise ValueError("avg_degree must be positive")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def build_union_adj(relations: dict[str, np.ndarray], num_nodes: int) -> sp.csr_matrix:
@@ -183,10 +195,12 @@ def save_graph(g: FraudGraph, path: str):
         )
 
 
-def stratified_split(g: FraudGraph, ratios=(0.4, 0.2, 0.4), seed=0) -> SplitIndex:
+def stratified_split(g: FraudGraph, ratios, seed) -> SplitIndex:
     """Per-class shuffle then proportional train/val/test assignment."""
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1) > 1e-9:
+    # ``not r > 0`` also rejects NaN, which every comparison fails.
+    if (len(ratios) != 3 or not all(r > 0 for r in ratios)
+            or abs(sum(ratios) - 1) > 1e-9):
         raise SplitError(f"ratios must be three positive values summing to 1: {ratios}")
     rng = generator(seed)
     parts = ([], [], [])

@@ -82,37 +82,45 @@ def gmean(tp: int, fn: int, tn: int, fp: int) -> float:
     return math.sqrt(tpr * tnr)
 
 
-def f1_macro(preds, labels) -> float:
-    """Unweighted mean of per-class F1; empty precision/recall count as 0."""
+def _confusion(preds, labels) -> dict[int, tuple[int, int, int]]:
+    """Each class's (true, falsely predicted, missed) counts, from one count
+    of the four (label, prediction) pairs. Both inputs are 1-D and of one
+    length, and every value is 0 or 1."""
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    f1s = []
-    for cls in (0, 1):
-        tp = int(((preds == cls) & (labels == cls)).sum())
-        fp = int(((preds == cls) & (labels != cls)).sum())
-        fn = int(((preds != cls) & (labels == cls)).sum())
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom else 0.0)
+    if preds.ndim != 1 or preds.shape != labels.shape:
+        raise DimensionError(f"preds {preds.shape} vs labels {labels.shape}")
+    if ((preds != 0) & (preds != 1)).any() or ((labels != 0) & (labels != 1)).any():
+        raise InvalidLabelError("labels and predictions must be 0 or 1")
+    tn, fp, fn, tp = (int(c) for c in np.bincount(2 * labels + preds, minlength=4))
+    return {1: (tp, fp, fn), 0: (tn, fn, fp)}
+
+
+def _f1_macro(counts: dict) -> float:
+    f1s = [2 * t / (2 * t + f_pred + f_true) if t + f_pred + f_true else 0.0
+           for t, f_pred, f_true in counts.values()]
     return float(np.mean(f1s))
 
 
+def f1_macro(preds, labels) -> float:
+    """Unweighted mean of per-class F1; empty precision/recall count as 0.
+
+    Predictions and labels are 1-D and of one length, and every value is
+    0 or 1.
+    """
+    return _f1_macro(_confusion(preds, labels))
+
+
 def compute_report(scores, preds, labels) -> MetricsReport:
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    tp = int(((preds == 1) & (labels == 1)).sum())
-    fp = int(((preds == 1) & (labels == 0)).sum())
-    tn = int(((preds == 0) & (labels == 0)).sum())
-    fn = int(((preds == 0) & (labels == 1)).sum())
-    precision = {}
-    recall = {}
-    for cls, (t, f_pred, f_true) in {1: (tp, fp, fn), 0: (tn, fn, fp)}.items():
-        precision[cls] = t / (t + f_pred) if t + f_pred else 0.0
-        recall[cls] = t / (t + f_true) if t + f_true else 0.0
+    counts = _confusion(preds, labels)
+    (tp, fp, fn), (tn, _, _) = counts[1], counts[0]
     return MetricsReport(
-        f1_macro=f1_macro(preds, labels),
+        f1_macro=_f1_macro(counts),
         auc=auc_rank(scores, labels),
         gmean=gmean(tp, fn, tn, fp),
         tp=tp, fp=fp, tn=tn, fn=fn,
-        precision=precision,
-        recall=recall,
+        precision={c: t / (t + f_pred) if t + f_pred else 0.0
+                   for c, (t, f_pred, _) in counts.items()},
+        recall={c: t / (t + f_true) if t + f_true else 0.0
+                for c, (t, _, f_true) in counts.items()},
     )

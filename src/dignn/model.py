@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import DimensionError, GraphLoadError
-from .graphdata import BatchSubgraph
+from .graphdata import BatchSubgraph, require_finite_floats
 from .rng import generator
 
 MODEL_MAGIC = b"DIGNN\x00"
@@ -36,6 +36,7 @@ class DignnConfig:
     prior_std: float = 1.0
 
     def validate(self):
+        require_finite_floats(self)
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ValueError("embed_dim and hidden_dim must be >= 1")
         if self.alpha < 0 or self.beta < 0:

@@ -15,7 +15,7 @@ from . import model as M
 from .errors import DivergenceError, UndefinedMetricError
 from .graphdata import (
     FraudGraph, SplitIndex, build_union_adj, downsample_epoch, gather_batch,
-    make_batches,
+    make_batches, require_finite_floats,
 )
 from .metrics import MetricsReport, compute_report
 from .model import DignnConfig, DignnParams
@@ -26,6 +26,8 @@ MODES = ("minibatch", "fullbatch")
 # Rows per scoring forward, the default training batch: a forward's tape and
 # its (rows x hidden) arrays stay this size however many nodes are scored.
 SCORE_BLOCK = 1024
+GRADCHECK_H = 1e-5  # gradcheck's central-difference step
+GRADCHECK_SEED = 7  # seeds gradcheck's toy features, init and noise
 
 
 @dataclass
@@ -40,8 +42,11 @@ class TrainConfig:
     ablation: str = "full"
 
     def validate(self):
+        require_finite_floats(self)
         if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
             raise ValueError("epochs, batch_size must be >= 1 and lr > 0")
+        if self.seed < 0 or self.weight_decay < 0:
+            raise ValueError("seed and weight_decay must be >= 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.ablation not in ABLATIONS:
@@ -176,9 +181,9 @@ def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
     return params, history
 
 
-def _toy_graph(seed=7) -> FraudGraph:
+def _toy_graph() -> FraudGraph:
     """Fixed 6-node graph for gradient checking."""
-    rng = generator(seed)
+    rng = generator(GRADCHECK_SEED)
     labels = np.array([0, 1, 0, 1, 0, 1], dtype=np.int8)
     features = rng.standard_normal((6, 4))
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5], [1, 4]],
@@ -188,8 +193,8 @@ def _toy_graph(seed=7) -> FraudGraph:
                       union_adj=build_union_adj(relations, 6))
 
 
-def gradcheck(model_cfg: DignnConfig | None = None, h: float = 1e-5,
-              seed: int = 7, corrupt: str | None = None) -> dict:
+def gradcheck(model_cfg: DignnConfig | None = None,
+              corrupt: str | None = None) -> dict:
     """Compare analytic gradients of the full training loss (``_batch_losses``
     under ``ablation = full``) against central finite differences on a 6-node
     toy; returns per-tensor relative errors.
@@ -197,9 +202,8 @@ def gradcheck(model_cfg: DignnConfig | None = None, h: float = 1e-5,
     ``corrupt`` flips the sign of one tensor's analytic gradient (test hook).
     """
     mcfg = replace(model_cfg or DignnConfig(), embed_dim=3, hidden_dim=5)
-    graph = _toy_graph(seed)
-    batch = gather_batch(graph, np.arange(6))
-    rng = generator(seed)
+    batch = gather_batch(_toy_graph(), np.arange(6))
+    rng = generator(GRADCHECK_SEED)
     params = DignnParams.init(6, 4, mcfg, rng.integers(2 ** 32))
     cfg = TrainConfig(model=mcfg)
     noise_state = rng.bit_generator.state
@@ -221,12 +225,12 @@ def gradcheck(model_cfg: DignnConfig | None = None, h: float = 1e-5,
         fd_flat = fd.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + GRADCHECK_H
             up = float(loss_var().value[0, 0])
-            flat[i] = orig - h
+            flat[i] = orig - GRADCHECK_H
             down = float(loss_var().value[0, 0])
             flat[i] = orig
-            fd_flat[i] = (up - down) / (2 * h)
+            fd_flat[i] = (up - down) / (2 * GRADCHECK_H)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic[name])), 1e-5)
         per_tensor[name] = float(np.max(np.abs(fd - analytic[name]) / denom))
     max_err = max(per_tensor.values())

@@ -503,7 +503,7 @@ class TestAdam:
 
     def test_zero_gradient_leaves_parameter(self):
         p = ad.Var([[1.5]])
-        opt = ad.Adam({"p": p}, weight_decay=0.0)
+        opt = ad.Adam({"p": p}, lr=0.001, weight_decay=0.0)
         p.grad = np.zeros((1, 1))
         opt.step()
         assert p.value[0, 0] == 1.5
@@ -595,7 +595,7 @@ class TestAdam:
         rng = np.random.default_rng(0)
         p = ad.Var(rng.standard_normal((2_000_000 // 64, 64)))
         p.grad = rng.standard_normal(p.shape)
-        opt = ad.Adam({"p": p}, weight_decay=0.0005)
+        opt = ad.Adam({"p": p}, lr=0.001, weight_decay=0.0005)
         tracemalloc.start()
         try:
             opt.step()

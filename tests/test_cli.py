@@ -1,9 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from functools import partial
 
 import numpy as np
@@ -17,7 +18,10 @@ from dignn.cli import (
     UsageError, _write_atomic, build_train_config, main, read_config_file,
     resolve_config, variant_tag,
 )
-from dignn.graphdata import gather_batch, load_graph, normalize_features, stratified_split
+from dignn.graphdata import (
+    SynthConfig, gather_batch, load_graph, normalize_features, save_graph,
+    stratified_split, synth_generate,
+)
 from dignn.model import DignnConfig, DignnParams
 from dignn.rng import seed_streams
 from dignn.trainer import SCORE_BLOCK, TrainConfig, gradcheck
@@ -67,6 +71,15 @@ def big_run(tmp_path_factory):
     return data, out
 
 
+# (key, value) pairs that a config must reject before --out is made: floats
+# that are not finite, a negative seed and a negative weight decay.
+_INVALID_VALUES = [
+    ("seed", -1), ("alpha", math.nan), ("beta", math.inf), ("lr", math.nan),
+    ("lr", math.inf), ("weight_decay", math.nan), ("weight_decay", -1.0),
+    ("prior_std", math.nan), ("sigma_enc", math.inf), ("val_ratio", math.nan),
+]
+
+
 def _copy_run(run, tmp_path):
     copy = tmp_path / "run"
     shutil.copytree(run, copy)
@@ -103,6 +116,48 @@ class TestSynth:
         assert code == EXIT_USAGE
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "keep"
+
+    def test_defaults_are_synth_config_defaults(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "cli")]) == EXIT_OK
+        save_graph(synth_generate(SynthConfig()), str(tmp_path / "lib"))
+        names = sorted(os.listdir(tmp_path / "lib"))
+        assert sorted(os.listdir(tmp_path / "cli")) == names
+        for name in names:
+            assert ((tmp_path / "cli" / name).read_bytes()
+                    == (tmp_path / "lib" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("flag, value, field, expected", [
+        ("--n", "7", "num_nodes", 7), ("--dim", "3", "feature_dim", 3),
+        ("--fraud-rate", "0.3", "fraud_rate", 0.3),
+        ("--homophily", "0.5", "homophily", 0.5), ("--h", "0.6", "homophily", 0.6),
+        ("--delta", "1.5", "mean_separation", 1.5),
+        ("--avg-degree", "4", "avg_degree", 4.0), ("--seed", "9", "seed", 9),
+    ])
+    def test_each_flag_sets_its_own_field(self, tmp_path, capsys, monkeypatch,
+                                          flag, value, field, expected):
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            raise ValueError("captured")
+
+        monkeypatch.setattr(cli, "synth_generate", capture)
+        out = tmp_path / "g"
+        assert main(["synth", flag, value, "--out", str(out)]) == EXIT_USAGE
+        assert seen == [replace(SynthConfig(), **{field: expected})]
+        assert type(getattr(seen[0], field)) is type(getattr(SynthConfig(), field))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta", "nan"), ("--delta", "inf"), ("--avg-degree", "inf"),
+        ("--fraud-rate", "nan"), ("--homophily", "nan"), ("--seed", "-1"),
+    ])
+    def test_non_finite_value_or_negative_seed_is_usage_error(self, tmp_path, capsys,
+                                                              flag, value):
+        out = tmp_path / "g"
+        assert main(["synth", "--n", "100", flag, value, "--out", str(out)]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -269,6 +324,32 @@ class TestTrain:
         code = main(["train", "--data", data_dir, "--epochs", "0", "--out", str(out)])
         assert code == EXIT_USAGE
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("route, key, value", [
+        *(("flag", k, v) for k, v in _INVALID_VALUES if k in cli._OVERRIDES),
+        *(("config", k, v) for k, v in _INVALID_VALUES),
+        *(("manifest", k, v) for k, v in _INVALID_VALUES),
+    ])
+    def test_invalid_value_is_usage_error_before_out(self, trained_run, data_dir,
+                                                     tmp_path, capsys, route, key,
+                                                     value):
+        if route == "flag":
+            source = ["--data", data_dir, cli._flag(key), str(value)]
+        elif route == "config":
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"{key} = {value}\n")
+            source = ["--data", data_dir, "--config", str(cfg)]
+        else:
+            with open(os.path.join(trained_run, "manifest.json")) as fh:
+                manifest = json.load(fh)
+            manifest["config"][key] = value
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps(manifest))
+            source = ["--manifest", str(path)]
+        out = tmp_path / "o"
+        assert main(["train", *source, "--out", str(out)]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unformable_split_is_usage_error(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -578,6 +659,35 @@ class TestConfigHandling:
             text = fh.read()
         missing = [k for k in CONFIG_KEYS if f"`{k}`" not in text]
         assert not missing
+
+    def test_readme_lists_every_synth_flag(self):
+        with open(README) as fh:
+            text = fh.read()
+        defaults = asdict(SynthConfig())
+        assert cli.SYNTH_FLAGS.keys() == defaults.keys()
+        for name, option_strings in cli.SYNTH_FLAGS.items():
+            flags = " / ".join(f"`{o}`" for o in option_strings)
+            assert f"| {flags} | `{name}` | `{defaults[name]}` |" in text, name
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "3"), ("--epochs", "2"), ("--batch-size", "8"), ("--alpha", "1"),
+        ("--beta", "1"), ("--ablation", "no_mi"), ("--mode", "fullbatch"),
+    ])
+    def test_train_flag_parses_to_its_key_type(self, flag, value):
+        key = flag[2:].replace("-", "_")
+        args = cli.build_parser().parse_args(["train", flag, value, "--out", "o"])
+        assert type(getattr(args, key)) is CONFIG_KEYS[key]
+        assert getattr(args, key) == CONFIG_KEYS[key](value)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "x"), ("--epochs", "2.5"), ("--batch-size", "1e3"),
+        ("--alpha", "abc"), ("--ablation", "none"), ("--mode", "batch"),
+    ])
+    def test_train_flag_of_another_type_exits_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", flag, value, "--out", "o"])
+        assert exc.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
 
     def test_variant_tags(self):
         base = resolve_config({}, {})

@@ -161,6 +161,39 @@ class TestF1Macro:
     def test_empty_class_counts_as_zero(self):
         assert f1_macro([1, 1], [1, 1]) == 0.5
 
+    @pytest.mark.parametrize("preds, labels", [
+        ([0, 1, 0, 1], [-1, 1, 0, 1]),  # -1 marks an unlabeled node
+        ([0, 1, 2, 1], [0, 1, 0, 1]),
+        ([0, -1], [0, 1]),
+    ])
+    def test_value_outside_zero_one_rejected(self, preds, labels):
+        with pytest.raises(InvalidLabelError):
+            f1_macro(preds, labels)
+
+    @pytest.mark.parametrize("preds, labels", [
+        ([0, 1, 0], [0, 1, 0, 1]),
+        ([0, 1], [0, 1, 1]),
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),
+    ])
+    def test_shape_mismatch_rejected(self, preds, labels):
+        with pytest.raises(DimensionError):
+            f1_macro(preds, labels)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_per_class_mask_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        preds = rng.integers(0, 2, n)
+        labels = rng.integers(0, 2, n)
+        f1s = []
+        for cls in (0, 1):
+            tp = int(((preds == cls) & (labels == cls)).sum())
+            fp = int(((preds == cls) & (labels != cls)).sum())
+            fn = int(((preds != cls) & (labels == cls)).sum())
+            denom = 2 * tp + fp + fn
+            f1s.append(2 * tp / denom if denom else 0.0)
+        assert f1_macro(preds, labels) == float(np.mean(f1s))
+
 
 class TestComputeReport:
     def test_confusion_counts(self):
@@ -192,6 +225,10 @@ class TestComputeReport:
         assert rep.auc == auc_rank(scores, labels)
         assert rep.f1_macro == f1_macro(preds, labels)
         assert rep.gmean == gmean(rep.tp, rep.fn, rep.tn, rep.fp)
+
+    def test_prediction_outside_zero_one_rejected(self):
+        with pytest.raises(InvalidLabelError):
+            compute_report([0.9, 0.1], [1, 2], [1, 0])
 
 
 def test_import_loads_no_scipy_subpackage_but_sparse():

@@ -189,7 +189,7 @@ class TestJoinedDecoderLayer:
         p = DignnParams.init(6, 4, small_cfg(), seed=2)
         names = ["dec_a_w2", "dec_a_b2"]
         snap = p.snapshot(names)
-        opt = ad.Adam({n: p[n] for n in names})
+        opt = ad.Adam({n: p[n] for n in names}, lr=0.001, weight_decay=0.0005)
         for n in names:
             p[n].grad = np.ones(p[n].shape)
         opt.step()
