@@ -26,9 +26,9 @@ class UndefinedMetricError(DignnError):
 
 
 class DivergenceError(DignnError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss; ``history`` holds the epochs
+    that completed before it."""
 
-    def __init__(self, message, last_finite_epoch, history=None):
+    def __init__(self, message, history=None):
         super().__init__(message)
-        self.last_finite_epoch = last_finite_epoch
         self.history = history

@@ -136,13 +136,15 @@ def load_graph(path: str) -> FraudGraph:
     meta_path = os.path.join(path, "meta.json")
     if not os.path.isfile(meta_path):
         raise GraphLoadError(f"missing file: {meta_path}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
     try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
         n = int(meta["num_nodes"])
         d = int(meta["feature_dim"])
         rel_names = list(meta["relations"])
-    except (KeyError, TypeError) as exc:
+        if n < 0 or d < 0:
+            raise ValueError(f"negative num_nodes {n} or feature_dim {d}")
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or count
         raise GraphLoadError(f"bad meta.json in {path}: {exc}") from exc
 
     feats = _read_exact(
@@ -289,6 +291,12 @@ def synth_generate(cfg: SynthConfig) -> FraudGraph:
     n_edges = int(round(cfg.avg_degree * n / 2))
     same = rng.random(n_edges) < cfg.homophily
     same_cls = rng.integers(0, 2, n_edges)
+    # A same-class edge needs two nodes of its class: on a class of one the
+    # redraw loop below would never end.
+    for c in (0, 1):
+        if by_class[c].size == 1 and (same & (same_cls == c)).any():
+            raise ValueError(f"class {c} has one node but a same-class edge; "
+                             "change seed, rate or homophily")
     cls_u = np.where(same, same_cls, 0)
     cls_v = np.where(same, same_cls, 1)
     u = np.empty(n_edges, dtype=np.int64)

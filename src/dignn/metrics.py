@@ -29,35 +29,14 @@ class MetricsReport:
         return d
 
 
-def _average_ranks(x) -> np.ndarray:
-    """1-based ranks of the flattened array; tied values share the mean of
-    their positions, so every rank is an integer or a half-integer.
-
-    Equals ``scipy.stats.rankdata(x, method="average")``, NaN included: if
-    any value is NaN, every rank is NaN.
-    """
-    x = np.ravel(x)
-    n = x.size
-    if np.isnan(x).any():
-        return np.full(n, np.nan)
-    order = np.argsort(x)
-    sorted_x = x[order]
-    starts = np.empty(n, dtype=bool)
-    starts[:1] = True
-    starts[1:] = sorted_x[1:] != sorted_x[:-1]
-    first = np.flatnonzero(starts)
-    end = np.append(first[1:], n)
-    ranks = np.empty(n)
-    ranks[order] = np.repeat((first + end + 1) / 2.0, end - first)
-    return ranks
-
-
 def auc_rank(scores, labels) -> float:
-    """Rank-statistic AUC: average ranks, so ties count one half.
+    """Rank-statistic AUC as the Mann-Whitney count: the (positive, negative)
+    pairs the positive outranks, ties counted one half, over all pairs.
 
     Equals the probability that a uniformly random positive outranks a
-    uniformly random negative. Scores and labels are 1-D and of one
-    length, and every label is 0 or 1.
+    uniformly random negative, and the rank-sum formula on average ranks
+    (Hanley & McNeil, Radiology 1982). Scores and labels are 1-D and of
+    one length, and every label is 0 or 1. A NaN score gives NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -69,8 +48,13 @@ def auc_rank(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    pos_rank_sum = _average_ranks(scores)[labels == 1].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    if np.isnan(scores).any():
+        return math.nan
+    neg = np.sort(scores[labels == 0])
+    pos = scores[labels == 1]
+    below = np.searchsorted(neg, pos, side="left")
+    ties = np.searchsorted(neg, pos, side="right") - below
+    return float((below.sum() + 0.5 * ties.sum()) / (n_pos * n_neg))
 
 
 def gmean(tp: int, fn: int, tn: int, fp: int) -> float:

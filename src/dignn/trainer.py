@@ -101,17 +101,24 @@ def evaluate(params: DignnParams, graph: FraudGraph, ids) -> MetricsReport:
 
 
 def _batch_losses(params: DignnParams, batch, cfg: TrainConfig, rng):
+    """The batch's training loss, and the figures ``history.csv`` averages:
+    ce, rec, exc, total, mean alpha_A and mean alpha_X (rec and exc are 0.0
+    under ``no_mi``)."""
     mcfg = cfg.model
     b = batch.node_ids.size
     eps_a = rng.standard_normal((b, mcfg.embed_dim))
     eps_x = rng.standard_normal((b, mcfg.embed_dim))
     out = M.forward(params, batch, mcfg, eps_a, eps_x)
-    ce = ad.ce_with_logits(out.logits, batch.labels)
-    if cfg.ablation != "full":
-        return out, ce, None, None, ce
-    rec = M.rec_loss(batch, params, out)
-    exc = M.exc_loss(out.z_A, out.z_X, out.z_A_s, out.z_X_s, mcfg)
-    return out, ce, rec, exc, M.total_loss(ce, rec, exc, mcfg)
+    loss = ce = ad.ce_with_logits(out.logits, batch.labels)
+    rec_exc = [0.0, 0.0]
+    if cfg.ablation == "full":
+        rec = M.rec_loss(batch, params, out)
+        exc = M.exc_loss(out.z_A, out.z_X, out.z_A_s, out.z_X_s, mcfg)
+        loss = M.total_loss(ce, rec, exc, mcfg)
+        rec_exc = [float(rec.value[0, 0]), float(exc.value[0, 0])]
+    figures = [float(ce.value[0, 0]), *rec_exc, float(loss.value[0, 0]),
+               float(out.alpha_A.value.mean()), float(out.alpha_X.value.mean())]
+    return loss, figures
 
 
 def build_optimizer(params: DignnParams, cfg: TrainConfig) -> ad.Adam:
@@ -145,31 +152,15 @@ def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
             batches = make_batches(epoch_ids, cfg.batch_size)
 
         sums = np.zeros(6)  # ce, rec, exc, total, alpha_a, alpha_x
-        n_seen = 0
         for ids in batches:
-            batch = gather_batch(graph, ids)
-            out, ce, rec, exc, loss = _batch_losses(params, batch, cfg, rng)
-            total = float(loss.value[0, 0])
-            if not math.isfinite(total):
-                history_epoch = e  # current epoch did not complete
-                raise DivergenceError(
-                    f"non-finite loss at epoch {e + 1}",
-                    last_finite_epoch=history_epoch, history=history,
-                )
+            loss, figures = _batch_losses(params, gather_batch(graph, ids), cfg, rng)
+            if not math.isfinite(figures[3]):
+                raise DivergenceError(f"non-finite loss at epoch {e + 1}", history)
             opt.zero_grad()
             ad.backward(loss)
             opt.step()
-            b = ids.size
-            sums += b * np.array([
-                float(ce.value[0, 0]),
-                float(rec.value[0, 0]) if rec is not None else 0.0,
-                float(exc.value[0, 0]) if exc is not None else 0.0,
-                total,
-                float(out.alpha_A.value.mean()),
-                float(out.alpha_X.value.mean()),
-            ])
-            n_seen += b
-        means = [float(x) for x in sums / n_seen]
+            sums += ids.size * np.array(figures)
+        means = [float(x) for x in sums / epoch_ids.size]
         val = evaluate(params, graph, split.val)
         history.epochs.append(EpochRecord(*means, val=val))
         if val.auc > best_auc:  # auc_rank lies in [0, 1], so epoch 1 passes
@@ -210,7 +201,7 @@ def gradcheck(model_cfg: DignnConfig | None = None,
 
     def loss_var():
         rng.bit_generator.state = noise_state  # the same eps on every call
-        return _batch_losses(params, batch, cfg, rng)[-1]
+        return _batch_losses(params, batch, cfg, rng)[0]
 
     ad.backward(loss_var())
     analytic = {n: np.zeros_like(v.value) if v.grad is None else v.grad

@@ -4,6 +4,8 @@ import math
 import os
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
 from functools import partial
 
@@ -116,6 +118,18 @@ class TestSynth:
         assert code == EXIT_USAGE
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "keep"
+
+    def test_class_of_one_with_a_same_class_edge_is_usage_error(self, tmp_path):
+        # Seed 10 draws one fraud node among 10; a same-class edge between two
+        # fraud nodes cannot be formed. Run apart, so a hang fails by timeout.
+        out = tmp_path / "g"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dignn.cli", "synth", "--n", "10", "--seed", "10",
+             "--out", str(out)], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))})
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "one node" in proc.stderr
+        assert not out.exists()
 
     def test_defaults_are_synth_config_defaults(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "cli")]) == EXIT_OK
@@ -299,6 +313,21 @@ class TestTrain:
         code = main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_LOAD
+
+    @pytest.mark.parametrize("meta", [
+        "{bad",
+        '{"num_nodes": "abc", "feature_dim": 8, "relations": []}',
+        # n * d matches the features file, so only the sign can catch it
+        '{"num_nodes": -200, "feature_dim": -8, "relations": []}',
+    ], ids=["not_json", "bad_int", "negative"])
+    def test_malformed_meta_is_load_error(self, data_dir, tmp_path, capsys, meta):
+        bad = tmp_path / "g"
+        shutil.copytree(data_dir, bad)
+        (bad / "meta.json").write_text(meta)
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(bad), "--out", str(out)]) == EXIT_LOAD
+        assert "bad meta.json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_divergence_exit_code(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

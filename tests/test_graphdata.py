@@ -314,6 +314,15 @@ class TestSynthGenerate:
         with pytest.raises(ValueError):
             SynthConfig(fraud_rate=0.0).validate()
 
+    def test_class_of_one_fails_only_with_a_same_class_edge(self):
+        # seed 10 draws one fraud node among 10
+        with pytest.raises(ValueError, match="one node"):
+            synth_generate(SynthConfig(num_nodes=10, seed=10))
+        g = synth_generate(SynthConfig(num_nodes=10, seed=10, homophily=0.0))
+        assert int(g.labels.sum()) == 1
+        u, v = g.relations["SYN"].T
+        assert (g.labels[u] != g.labels[v]).all()
+
     def test_per_edge_arrays_are_freed_before_the_union(self):
         # Only the edge list and the features may be live beside
         # build_union_adj's own peak; the per-edge draws kept alive through it

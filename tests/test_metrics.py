@@ -12,8 +12,7 @@ from scipy.stats import rankdata
 
 import dignn
 from dignn.errors import DimensionError, InvalidLabelError, UndefinedMetricError
-from dignn.metrics import (
-    MetricsReport, _average_ranks, auc_rank, compute_report, f1_macro, gmean)
+from dignn.metrics import MetricsReport, auc_rank, compute_report, f1_macro, gmean
 
 
 def pairwise_auc(scores, labels):
@@ -26,6 +25,25 @@ def pairwise_auc(scores, labels):
     for p, n in itertools.product(pos, neg):
         total += 1.0 if p > n else (0.5 if p == n else 0.0)
     return total / (pos.size * neg.size)
+
+
+def assert_equals_rankdata_formula(scores, labels):
+    """auc_rank equals, bit for bit, the rank-sum formula on scipy's average
+    ranks; a NaN score makes both NaN."""
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    ranks = rankdata(scores, method="average")
+    old = float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    got = auc_rank(scores, labels)
+    assert got == old or (math.isnan(got) and math.isnan(old))
+
+
+def draw_labels(n, seed):
+    """Random 0/1 labels, with both classes present when ``n >= 2``."""
+    labels = np.random.default_rng(seed).integers(0, 2, n)
+    labels[:2] = [0, 1][:n]
+    return labels
 
 
 class TestAuc:
@@ -85,22 +103,13 @@ class TestAuc:
         scores = rng.random(n) if seed % 2 else rng.choice(np.linspace(0, 1, 11), n)
         labels = rng.integers(0, 2, n)
         labels[:2] = [0, 1]
-        n_pos = int((labels == 1).sum())
-        n_neg = int((labels == 0).sum())
-        ranks = rankdata(scores, method="average")
-        old = float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-        assert auc_rank(scores, labels) == old
+        assert_equals_rankdata_formula(scores, labels)
 
 
 class TestAverageRanks:
-    """The numpy ranks against scipy's, value for value and in dtype."""
-
-    @staticmethod
-    def assert_matches_rankdata(x):
-        expected = rankdata(x, method="average")
-        got = _average_ranks(x)
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected, equal_nan=True)
+    """auc_rank against the rank-sum formula on scipy's average ranks
+    (``assert_equals_rankdata_formula``), on inputs chosen for their ties,
+    with labels drawn per input."""
 
     @pytest.mark.parametrize("x", [
         [0.5, 0.5, 0.5, 0.5],
@@ -110,22 +119,38 @@ class TestAverageRanks:
         np.array([True, False, True, True, False]),
         [0.7],
         np.array([], dtype=np.float64),
-    ], ids=["all_tied", "many_ties", "signed_zero", "int", "bool", "single", "empty"])
+        [np.inf, -np.inf, 0.0, np.inf, 1.0, -np.inf, -0.0, np.inf],
+    ], ids=["all_tied", "many_ties", "signed_zero", "int", "bool", "single", "empty",
+            "inf"])
     def test_cases(self, x):
-        self.assert_matches_rankdata(x)
+        labels = draw_labels(len(x), seed=len(x))
+        if len(x) < 2:  # no (positive, negative) pair to count
+            with pytest.raises(UndefinedMetricError):
+                auc_rank(x, labels)
+        else:
+            assert_equals_rankdata_formula(x, labels)
 
     def test_nan_makes_every_rank_nan(self):
         x = np.array([0.2, np.nan, 0.1, 0.2])
-        self.assert_matches_rankdata(x)
-        assert np.isnan(_average_ranks(x)).all()
+        labels = draw_labels(x.size, seed=4)
+        assert_equals_rankdata_formula(x, labels)
+        assert math.isnan(auc_rank(x, labels))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_tie_heavy(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 400))
         x = rng.choice(np.array([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0]), n)
-        self.assert_matches_rankdata(x)
-        self.assert_matches_rankdata(rng.random(n))
+        labels = draw_labels(n, seed=1000 + seed)
+        assert_equals_rankdata_formula(x, labels)
+        assert_equals_rankdata_formula(rng.random(n), labels)
+
+    def test_large_tie_heavy(self):
+        rng = np.random.default_rng(20)
+        n = 200_000
+        labels = draw_labels(n, seed=21)
+        assert_equals_rankdata_formula(rng.choice(np.linspace(-1, 1, 41), n), labels)
+        assert_equals_rankdata_formula(rng.random(n), labels)
 
 
 class TestGmean:

@@ -144,13 +144,14 @@ class TestTrain:
         params, hist = train(g, split, small_train_cfg(mode="fullbatch", epochs=2))
         assert len(hist.epochs) == 2
 
-    def test_divergence_raises_with_last_finite_epoch(self, small_data):
+    def test_divergence_names_the_epoch_after_its_history(self, small_data):
         g, split = small_data
         cfg = small_train_cfg(epochs=10, lr=1e200)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
             train(g, split, cfg)
-        assert exc.value.last_finite_epoch < 10
-        assert exc.value.history is not None
+        assert len(exc.value.history.epochs) < 10
+        assert str(exc.value) == (
+            f"non-finite loss at epoch {len(exc.value.history.epochs) + 1}")
 
     def test_history_csv_roundtrip(self, small_data, tmp_path):
         g, split = small_data
@@ -170,8 +171,24 @@ def _toy_loss(ablation):
     cfg = small_train_cfg(ablation=ablation)
     g = _toy_graph()
     params = DignnParams.init(g.num_nodes, g.feature_dim, cfg.model, 0)
-    loss = _batch_losses(params, gather_batch(g, np.arange(6)), cfg, generator(0))[-1]
+    loss = _batch_losses(params, gather_batch(g, np.arange(6)), cfg, generator(0))[0]
     return cfg, params, loss
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_batch_figures(ablation):
+    """ce, rec, exc, total, mean alpha_A, mean alpha_X as floats; the total is
+    the loss, and under no_mi rec = exc = 0.0 and the total is ce."""
+    cfg = small_train_cfg(ablation=ablation)
+    g = _toy_graph()
+    params = DignnParams.init(g.num_nodes, g.feature_dim, cfg.model, 0)
+    loss, figures = _batch_losses(params, gather_batch(g, np.arange(6)), cfg, generator(0))
+    assert len(figures) == 6 and all(type(f) is float for f in figures)
+    assert figures[3] == float(loss.value[0, 0])
+    if ablation == "no_mi":
+        assert figures[1] == figures[2] == 0.0 and figures[3] == figures[0]
+    else:
+        assert figures[1] > 0.0
 
 
 def _reachable(loss):
