@@ -261,8 +261,7 @@ def cmd_train(args) -> int:
         params, history = train(graph, split, tcfg)
     except DivergenceError as exc:
         _write_atomic(paths["manifest"], write_manifest)
-        if exc.history is not None:
-            _write_atomic(paths["history"], exc.history.write_csv)
+        _write_atomic(paths["history"], exc.history.write_csv)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
 

@@ -29,6 +29,6 @@ class DivergenceError(DignnError):
     """Training produced a non-finite loss; ``history`` holds the epochs
     that completed before it."""
 
-    def __init__(self, message, history=None):
+    def __init__(self, message, history):
         super().__init__(message)
         self.history = history

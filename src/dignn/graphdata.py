@@ -139,12 +139,14 @@ def load_graph(path: str) -> FraudGraph:
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
-        n = int(meta["num_nodes"])
-        d = int(meta["feature_dim"])
-        rel_names = list(meta["relations"])
-        if n < 0 or d < 0:
-            raise ValueError(f"negative num_nodes {n} or feature_dim {d}")
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or count
+        n, d, rel_names = meta["num_nodes"], meta["feature_dim"], meta["relations"]
+        # ``type(...) is int`` also rejects a bool, which is an int subclass.
+        if not (type(n) is int and type(d) is int and n >= 0 and d >= 0):
+            raise ValueError(f"num_nodes {n!r} and feature_dim {d!r} must be "
+                             "integers >= 0")
+        if not (isinstance(rel_names, list) and all(isinstance(r, str) for r in rel_names)):
+            raise ValueError(f"relations {rel_names!r} must be a list of names")
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or value
         raise GraphLoadError(f"bad meta.json in {path}: {exc}") from exc
 
     feats = _read_exact(
@@ -212,6 +214,9 @@ def stratified_split(g: FraudGraph, ratios, seed) -> SplitIndex:
             raise SplitError(f"class {cls} has only {ids.size} labeled nodes")
         ids = rng.permutation(ids)
         b1 = int(round(ratios[0] * ids.size))
+        if b1 == 0:  # the training set must hold both classes
+            raise SplitError(f"train_ratio {ratios[0]} leaves class {cls} "
+                             f"({ids.size} labeled nodes) no training node")
         b2 = int(round((ratios[0] + ratios[1]) * ids.size))
         for part, chunk in zip(parts, (ids[:b1], ids[b1:b2], ids[b2:])):
             part.append(chunk)

@@ -22,6 +22,7 @@ from .rng import generator
 MODEL_MAGIC = b"DIGNN\x00"
 MODEL_VERSION = 1
 MODEL_FLAG = 1  # header byte kept so that saved models stay readable; always 1
+MODEL_HEADER = struct.Struct("<6s6IB")  # magic, version, N, D, d, h, tensors, flag
 GLOROT_CHUNK = 16_384  # 128 KB of float64
 
 
@@ -132,72 +133,48 @@ class DignnParams:
 
     def save(self, path: str):
         with open(path, "wb") as fh:
-            fh.write(MODEL_MAGIC)
-            fh.write(struct.pack(
-                "<6I", MODEL_VERSION, self.n_nodes, self.feat_dim,
-                self.cfg.embed_dim, self.cfg.hidden_dim, len(self.tensors),
-            ))
-            fh.write(struct.pack("<B", MODEL_FLAG))
+            fh.write(_file_header(self.n_nodes, self.feat_dim, self.cfg, len(self.tensors)))
             for name, var in self.tensors.items():
-                raw = name.encode()
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<II", *var.value.shape))
+                fh.write(_tensor_header(name, var.value.shape))
                 fh.write(np.asarray(var.value, "<f8"))
 
     @classmethod
     def load(cls, path: str) -> "DignnParams":
-        """Read a model written by ``save``. Every tensor's name and shape are
-        checked against ``shape_spec``, and the file's size against the one
-        they imply, before anything is allocated; each tensor is then read
-        straight into its array from ``empty_tensors``."""
-        def span(nbytes: int) -> int:
-            """Where the next ``nbytes`` end, which must be inside the file."""
-            end = fh.tell() + nbytes
-            if end > size:
-                raise GraphLoadError(f"truncated model file: {path}")
-            return end
-
-        def read(nbytes: int) -> bytes:
-            span(nbytes)
-            return fh.read(nbytes)
-
+        """Read a model written by ``save``. Its header, each tensor's header and
+        its size must be what ``save`` writes for the ``shape_spec`` its sizes imply,
+        all checked before ``empty_tensors`` allocates the arrays they are read into."""
         try:
             fh = open(path, "rb")
         except OSError as exc:
             raise GraphLoadError(f"cannot open model file {path}: {exc}") from exc
+        truncated = GraphLoadError(f"truncated model file: {path}")
         with fh:
             size = os.fstat(fh.fileno()).st_size
-            if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
+            head = fh.read(MODEL_HEADER.size)
+            if not head.startswith(MODEL_MAGIC):
                 raise GraphLoadError(f"not a model file: {path}")
-            version, n, d_in, d, h, n_tensors = struct.unpack("<6I", read(24))
-            if version != MODEL_VERSION:
-                raise GraphLoadError(f"unsupported model version {version}")
-            (flag,) = struct.unpack("<B", read(1))
-            if flag != MODEL_FLAG:
-                raise GraphLoadError(f"unsupported model flag byte {flag} in {path}")
+            if len(head) < MODEL_HEADER.size:
+                raise truncated
+            _, version, n, d_in, d, h, n_tensors, flag = MODEL_HEADER.unpack(head)
             cfg = DignnConfig(embed_dim=d, hidden_dim=h)
             spec = cls.shape_spec(n, d_in, cfg)
-            if n_tensors != len(spec):
-                raise GraphLoadError(f"unexpected tensor layout in {path}")
+            if head != _file_header(n, d_in, cfg, len(spec)):
+                raise GraphLoadError(f"unsupported model header in {path}: version "
+                                     f"{version}, flag byte {flag}, {n_tensors} tensors "
+                                     f"(want {MODEL_VERSION}, {MODEL_FLAG}, {len(spec)})")
             offsets = []
             for name, shape in spec:
-                (nlen,) = struct.unpack("<I", read(4))
-                raw = read(nlen)
-                try:
-                    found = raw.decode()
-                except UnicodeDecodeError as exc:
-                    raise GraphLoadError(
-                        f"tensor name {raw!r} is not UTF-8 in {path}") from exc
-                if found != name:
-                    raise GraphLoadError(f"unexpected tensor layout in {path}: "
-                                         f"found {found!r} where {name!r} belongs")
-                rows, cols = struct.unpack("<II", read(8))
-                if (rows, cols) != shape:
-                    raise GraphLoadError(f"tensor {name} has shape {(rows, cols)}, "
-                                         f"expected {shape}, in {path}")
+                expected = _tensor_header(name, shape)
+                found = fh.read(len(expected))
+                if found != expected:
+                    raise truncated if len(found) < len(expected) else GraphLoadError(
+                        f"unexpected tensor header in {path}: {name!r} of shape "
+                        f"{shape} belongs there")
                 offsets.append(fh.tell())
-                fh.seek(span(rows * cols * 8))
+                end = fh.tell() + 8 * shape[0] * shape[1]
+                if end > size:
+                    raise truncated
+                fh.seek(end)
             if fh.tell() != size:
                 raise GraphLoadError(f"trailing bytes in model file {path}: {size} "
                                      f"bytes, the last tensor ends at {fh.tell()}")
@@ -205,11 +182,22 @@ class DignnParams:
             for a, offset in zip(tensors.values(), offsets):
                 fh.seek(offset)
                 if fh.readinto(a) != a.nbytes:
-                    raise GraphLoadError(f"truncated model file: {path}")
+                    raise truncated
                 if sys.byteorder != "little":
                     a.byteswap(inplace=True)
         return cls(OrderedDict((name, Var(a)) for name, a in tensors.items()),
                    n, d_in, cfg)
+
+
+def _file_header(n_nodes: int, feat_dim: int, cfg: DignnConfig,
+                 n_tensors: int) -> bytes:
+    return MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, n_nodes, feat_dim,
+                             cfg.embed_dim, cfg.hidden_dim, n_tensors, MODEL_FLAG)
+
+
+def _tensor_header(name: str, shape) -> bytes:
+    raw = name.encode()
+    return struct.pack("<I", len(raw)) + raw + struct.pack("<II", *shape)
 
 
 def glorot(rng, shape, out: np.ndarray | None = None) -> np.ndarray:

@@ -319,7 +319,13 @@ class TestTrain:
         '{"num_nodes": "abc", "feature_dim": 8, "relations": []}',
         # n * d matches the features file, so only the sign can catch it
         '{"num_nodes": -200, "feature_dim": -8, "relations": []}',
-    ], ids=["not_json", "bad_int", "negative"])
+        # int() would read these as the graph's 200 nodes, or a bool as 1
+        '{"num_nodes": 200.9, "feature_dim": 8, "relations": ["SYN"]}',
+        '{"num_nodes": true, "feature_dim": 8, "relations": ["SYN"]}',
+        '{"num_nodes": "200", "feature_dim": 8, "relations": ["SYN"]}',
+        '{"num_nodes": 200, "feature_dim": 8, "relations": "SYN"}',
+    ], ids=["not_json", "bad_int", "negative", "float", "bool", "string",
+            "relations_string"])
     def test_malformed_meta_is_load_error(self, data_dir, tmp_path, capsys, meta):
         bad = tmp_path / "g"
         shutil.copytree(data_dir, bad)
@@ -389,17 +395,27 @@ class TestTrain:
         assert "ratios" in capsys.readouterr().err
 
     def test_split_error_leaves_no_manifest(self, data_dir, tmp_path, capsys):
-        # A split that cannot be formed, and one whose validation set holds
-        # one class, so that training stops at its first validation.
-        for i, ratios in enumerate(((0.5, 0.5, 0.5), (0.98, 0.01, 0.01))):
+        # A split that cannot be formed; one whose validation set holds one
+        # class, so that training stops at its first validation; and one
+        # whose training set would hold none of a 100-node graph's 12 fraud
+        # nodes (round(0.01 * 12) = 0), which must fail before --out exists.
+        small = str(tmp_path / "small")
+        assert main(["synth", "--n", "100", "--dim", "8", "--seed", "3",
+                     "--out", small]) == EXIT_OK
+        for i, (data, ratios, before_out) in enumerate((
+                (data_dir, (0.5, 0.5, 0.5), True),
+                (data_dir, (0.98, 0.01, 0.01), False),
+                (small, (0.01, 0.49, 0.5), True))):
             cfg = tmp_path / f"cfg{i}.txt"
             cfg.write_text("train_ratio = {}\nval_ratio = {}\ntest_ratio = {}\n"
                            .format(*ratios))
             out = tmp_path / f"o{i}"
-            code = main(["train", "--data", data_dir, "--config", str(cfg),
+            code = main(["train", "--data", data, "--config", str(cfg),
                          "--epochs", "1", "--batch-size", "64", "--out", str(out)])
             assert code == EXIT_USAGE
             assert not (out / "manifest.json").exists()
+            if before_out:
+                assert not out.exists()
 
     def test_out_naming_a_file_is_usage_error(self, data_dir, tmp_path, capsys):
         out = tmp_path / "o"
@@ -510,7 +526,26 @@ class TestEval:
         (run / "model.bin").write_bytes(bytes(blob))
         code = main(["eval", "--run", str(run)])
         assert code == EXIT_LOAD
-        assert "UTF-8" in capsys.readouterr().err
+        assert "'enc_a_w1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, message", [("version", "version 2"),
+                                               ("tensor_count", "20 tensors"),
+                                               ("renamed", "'att_q'")])
+    def test_header_other_than_save_writes_is_load_error(self, trained_run, tmp_path,
+                                                         capsys, case, message):
+        run = _copy_run(trained_run, tmp_path)
+        blob = _model_bytes(trained_run)
+        if case == "version":
+            blob[6:10] = struct.pack("<I", 2)
+        elif case == "tensor_count":
+            blob[26:30] = struct.pack("<I", 20)
+        else:
+            at = blob.index(b"att_q")
+            blob[at:at + 5] = b"att_z"
+        (run / "model.bin").write_bytes(bytes(blob))
+        code = main(["eval", "--run", str(run)])
+        assert code == EXIT_LOAD
+        assert message in capsys.readouterr().err
 
     def test_flag_byte_other_than_one_is_load_error(self, trained_run, tmp_path,
                                                     capsys):
