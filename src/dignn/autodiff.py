@@ -171,29 +171,32 @@ def sparse_dense_matmul(s: sp.csr_matrix, b: Var) -> Var:
     return out
 
 
-def _unary(v: Var, y: np.ndarray, dy: np.ndarray) -> Var:
-    """Elementwise op with value y and local derivative dy."""
+def _unary(v: Var, y: np.ndarray, dy) -> Var:
+    """Elementwise op with value y; ``dy(x, y)`` gives its local derivative
+    from the input and output values. It is called only by a backward pass,
+    so a forward that is never differentiated (scoring) does not form it and
+    the tape holds no array for it."""
     out = Var(y, parents=(v,))
 
     def bwd(g):
-        _accumulate(v, g * dy)
+        _accumulate(v, g * dy(v.value, y))
 
     out._backward = bwd
     return out
 
 
 def tanh(v: Var) -> Var:
-    y = np.tanh(v.value)
-    return _unary(v, y, 1.0 - y * y)
+    return _unary(v, np.tanh(v.value), lambda x, y: 1.0 - y * y)
 
 
 def relu(v: Var) -> Var:
-    return _unary(v, np.maximum(v.value, 0.0), (v.value > 0.0).astype(np.float64))
+    return _unary(v, np.maximum(v.value, 0.0),
+                  lambda x, y: (x > 0.0).astype(np.float64))
 
 
 def sigmoid(v: Var) -> Var:
     y = 0.5 * (1.0 + np.tanh(0.5 * v.value))
-    return _unary(v, y, y * (1.0 - y))
+    return _unary(v, y, lambda x, y: y * (1.0 - y))
 
 
 def sum_all(v: Var) -> Var:
@@ -286,7 +289,8 @@ def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
         _accumulate(h, c * (h1 @ w1w1 - aw1)[:, :k])
         dw1 = (c * gram) @ w1
         h1ta = (a_used.T @ h1).T                     # h1^T A on the used columns
-        dw1[:, used] -= c * h1ta
+        h1ta *= c  # in place: a second (k+1, |used|) array would be a third temporary
+        dw1[:, used] -= h1ta
         _accumulate(w, dw1[:k])                      # disjoint views of dw1
         _accumulate(b, dw1[k:])
 

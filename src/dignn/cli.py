@@ -128,8 +128,16 @@ def resolve_config(file_cfg: dict, cli_overrides: dict) -> dict:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
+    """The validated ``TrainConfig`` of ``cfg``. Every command builds one
+    before it reads data or seeds anything with ``cfg``, so an invalid value
+    (a negative seed, say) is a usage error, never a traceback."""
     model = DignnConfig(**{k: cfg[k] for k in _MODEL_DEFAULTS})
-    return TrainConfig(model=model, **{k: cfg[k] for k in _TRAIN_DEFAULTS})
+    tcfg = TrainConfig(model=model, **{k: cfg[k] for k in _TRAIN_DEFAULTS})
+    try:
+        tcfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return tcfg
 
 
 def variant_tag(cfg: dict) -> str:
@@ -200,6 +208,7 @@ def _load_run(run_dir: str):
     """A run directory's config and model, and the graph and split it trained on."""
     cfg, data_dir, recorded, outputs = read_manifest(
         os.path.join(run_dir, "manifest.json"))
+    build_train_config(cfg)  # checks the manifest's values as train does
     _, graph, split = _load_data(data_dir, cfg, recorded)
     model_path = os.path.join(run_dir, "model.bin")
     params = DignnParams.load(model_path)
@@ -238,10 +247,6 @@ def cmd_train(args) -> int:
         cfg = resolve_config(file_cfg, {k: getattr(args, k) for k in _OVERRIDES})
         data_dir = args.data
     tcfg = build_train_config(cfg)
-    try:
-        tcfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     hashes, graph, split = _load_data(data_dir, cfg, recorded)
 
     _output(args.out, partial(os.makedirs, exist_ok=True))

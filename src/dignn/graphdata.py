@@ -214,11 +214,15 @@ def stratified_split(g: FraudGraph, ratios, seed) -> SplitIndex:
             raise SplitError(f"class {cls} has only {ids.size} labeled nodes")
         ids = rng.permutation(ids)
         b1 = int(round(ratios[0] * ids.size))
-        if b1 == 0:  # the training set must hold both classes
-            raise SplitError(f"train_ratio {ratios[0]} leaves class {cls} "
-                             f"({ids.size} labeled nodes) no training node")
         b2 = int(round((ratios[0] + ratios[1]) * ids.size))
-        for part, chunk in zip(parts, (ids[:b1], ids[b1:b2], ids[b2:])):
+        # Every set must hold both classes: training needs them, and so do
+        # the validation and test AUCs, which would otherwise fail only after
+        # an epoch or a whole run.
+        for name, part, chunk in zip(("train", "validation", "test"), parts,
+                                     (ids[:b1], ids[b1:b2], ids[b2:])):
+            if chunk.size == 0:
+                raise SplitError(f"ratios {ratios} leave class {cls} ({ids.size} "
+                                 f"labeled nodes) no {name} node")
             part.append(chunk)
     train, val, test = (np.sort(np.concatenate(p)) for p in parts)
     return SplitIndex(train=train, val=val, test=test)

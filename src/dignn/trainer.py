@@ -158,6 +158,10 @@ def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
                 raise DivergenceError(f"non-finite loss at epoch {e + 1}", history)
             opt.zero_grad()
             ad.backward(loss)
+            # Dropping the loss frees the step's tape (every intermediate
+            # value and grad) before Adam runs and the next forward builds
+            # its own, so at most one tape is alive.
+            del loss
             opt.step()
             sums += ids.size * np.array(figures)
         means = [float(x) for x in sums / epoch_ids.size]
@@ -165,8 +169,10 @@ def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
         history.epochs.append(EpochRecord(*means, val=val))
         if val.auc > best_auc:  # auc_rank lies in [0, 1], so epoch 1 passes
             best_auc = val.auc
+            best_snap = None  # freed before the copy, so one snapshot is alive
             # The last epoch's parameters are already where they end up.
-            best_snap = params.snapshot(opt.params) if e + 1 < cfg.epochs else None
+            if e + 1 < cfg.epochs:
+                best_snap = params.snapshot(opt.params)
     if best_snap is not None:
         params.restore(best_snap)
     return params, history

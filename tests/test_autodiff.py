@@ -125,6 +125,28 @@ class TestElementwise:
         fd = fd_grad(lambda: float((op(ad.Var(x_val)).value * w).sum()), x_val)
         assert rel_err(fd, x.grad) <= 1e-4
 
+    @pytest.mark.parametrize("op, local", [
+        (ad.tanh, lambda x, y: 1.0 - y * y),
+        (ad.relu, lambda x, y: (x > 0.0).astype(np.float64)),
+        (ad.sigmoid, lambda x, y: y * (1.0 - y)),
+    ], ids=["tanh", "relu", "sigmoid"])
+    def test_forward_keeps_only_its_value(self, op, local):
+        # The local derivative is formed by the backward pass, so a forward
+        # (a scoring pass, or a tape before backward) holds only the output;
+        # the grad is the upstream grad times that derivative, bit for bit.
+        rng = np.random.default_rng(3)
+        x = ad.Var(rng.uniform(-3.0, 3.0, size=(500, 100)))
+        tracemalloc.start()
+        try:
+            y = op(x)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.1 * y.value.nbytes
+        w = rng.standard_normal(x.shape)
+        ad.backward(ad.sum_all(ad.mul(y, ad.Var(w))))
+        assert np.array_equal(x.grad, w * local(x.value, y.value))
+
 
 def _fused_alphas(z_a, z_x, q):
     """alpha_A and alpha_X of ``attention_fuse`` on 1-wide embeddings z_a, z_x
@@ -339,11 +361,13 @@ class TestSparseTargetMse:
 
     PEAK_ROWS, PEAK_K, PEAK_COLS = 256, 16, 20_000
 
-    def _peak_bytes(self):
-        """Traced peak of one forward plus backward, leaves and grads excluded."""
+    def _peak_bytes(self, row_nnz=10):
+        """Traced peak of one forward plus backward, leaves and grads excluded,
+        for a target with about ``row_nnz`` entries per row."""
         rows, k, cols = self.PEAK_ROWS, self.PEAK_K, self.PEAK_COLS
         rng = np.random.default_rng(0)
-        target = sp.random(rows, cols, density=10 / cols, random_state=0, format="csr")
+        target = sp.random(rows, cols, density=row_nnz / cols, random_state=0,
+                           format="csr")
         h = ad.Var(rng.standard_normal((rows, k)))
         w, b = joined_leaves(rng.standard_normal((k, cols)),
                              rng.standard_normal((1, cols)))
@@ -370,6 +394,14 @@ class TestSparseTargetMse:
         # arrays of about 0.13 of one each here (1.42 in all).
         unit = (self.PEAK_K + 1) * self.PEAK_COLS * 8
         assert self._peak_bytes() <= 1.5 * unit
+
+    def test_used_column_scatter_holds_two_temporaries(self):
+        # 180 entries per row use about 90% of the columns. Beside the
+        # gradient (one unit), the backward holds h1^T A, scaled in place,
+        # and the gather copy of dw1[:, used]: about 0.9 of a unit each
+        # (3.1 in all). A scaled copy of h1^T A would be a third (4.0).
+        unit = (self.PEAK_K + 1) * self.PEAK_COLS * 8
+        assert self._peak_bytes(row_nnz=180) <= 3.5 * unit
 
 
 def _compaction_targets():

@@ -395,17 +395,17 @@ class TestTrain:
         assert "ratios" in capsys.readouterr().err
 
     def test_split_error_leaves_no_manifest(self, data_dir, tmp_path, capsys):
-        # A split that cannot be formed; one whose validation set holds one
-        # class, so that training stops at its first validation; and one
-        # whose training set would hold none of a 100-node graph's 12 fraud
-        # nodes (round(0.01 * 12) = 0), which must fail before --out exists.
+        # A split that cannot be formed; one whose validation set would hold
+        # none of the 57 fraud nodes; and one whose training set would hold
+        # none of a 100-node graph's 12 fraud nodes (round(0.01 * 12) = 0).
+        # Each must fail before --out exists.
         small = str(tmp_path / "small")
         assert main(["synth", "--n", "100", "--dim", "8", "--seed", "3",
                      "--out", small]) == EXIT_OK
-        for i, (data, ratios, before_out) in enumerate((
-                (data_dir, (0.5, 0.5, 0.5), True),
-                (data_dir, (0.98, 0.01, 0.01), False),
-                (small, (0.01, 0.49, 0.5), True))):
+        for i, (data, ratios) in enumerate((
+                (data_dir, (0.5, 0.5, 0.5)),
+                (data_dir, (0.98, 0.01, 0.01)),
+                (small, (0.01, 0.49, 0.5)))):
             cfg = tmp_path / f"cfg{i}.txt"
             cfg.write_text("train_ratio = {}\nval_ratio = {}\ntest_ratio = {}\n"
                            .format(*ratios))
@@ -413,9 +413,7 @@ class TestTrain:
             code = main(["train", "--data", data, "--config", str(cfg),
                          "--epochs", "1", "--batch-size", "64", "--out", str(out)])
             assert code == EXIT_USAGE
-            assert not (out / "manifest.json").exists()
-            if before_out:
-                assert not out.exists()
+            assert not out.exists()
 
     def test_out_naming_a_file_is_usage_error(self, data_dir, tmp_path, capsys):
         out = tmp_path / "o"
@@ -427,12 +425,36 @@ class TestTrain:
 
     def test_undefined_validation_metric_is_usage_error(self, data_dir, tmp_path,
                                                         capsys):
+        # A validation set without a fraud node leaves its AUC undefined: the
+        # split is refused before any training, and the message names the
+        # set, the class and the ratios.
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("train_ratio = 0.98\nval_ratio = 0.01\ntest_ratio = 0.01\n")
+        out = tmp_path / "o"
         code = main(["train", "--data", data_dir, "--config", str(cfg),
-                     "--epochs", "1", "--batch-size", "64", "--out", str(tmp_path / "o")])
+                     "--epochs", "1", "--batch-size", "64", "--out", str(out)])
         assert code == EXIT_USAGE
-        assert "AUC" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no validation node" in err and "class 1" in err
+        assert "(0.98, 0.01, 0.01)" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["eval"], ["export-embeddings", "--out", "z.csv"]])
+def test_invalid_manifest_config_is_usage_error(trained_run, tmp_path, command):
+    # read_manifest checks each config value's type; the values themselves
+    # are checked as train checks them, before the data is split with them.
+    run = _copy_run(trained_run, tmp_path)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["config"]["seed"] = -1
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dignn.cli", command[0], "--run", str(run), *command[1:]],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))})
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "seed" in proc.stderr and "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == ["run"]
 
 
 class TestEval:

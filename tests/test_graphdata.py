@@ -155,6 +155,14 @@ class TestStratifiedSplit:
         with pytest.raises(SplitError):
             stratified_split(g, (0.4, 0.2, 0.4), seed=0)
 
+    @pytest.mark.parametrize("ratios, empty", [((0.01, 0.49, 0.5), "train"),
+                                               ((0.5, 0.01, 0.49), "validation"),
+                                               ((0.5, 0.49, 0.01), "test")])
+    def test_set_without_a_class_fails(self, ratios, empty):
+        # Of 10 fraud nodes, each of these ratios leaves one set none.
+        with pytest.raises(SplitError, match=rf"class 1 .*no {empty} node"):
+            stratified_split(self.make_graph(), ratios, seed=0)
+
     def test_parts_are_disjoint_and_cover_labeled(self):
         labels = [1] * 20 + [0] * 70 + [-1] * 10
         g = toy_graph(labels=labels)

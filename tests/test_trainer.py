@@ -8,7 +8,9 @@ import dignn.autodiff as ad
 import dignn.model as M
 import dignn.trainer as trainer
 from dignn.errors import DivergenceError, UndefinedMetricError
-from dignn.graphdata import SynthConfig, gather_batch, stratified_split, synth_generate
+from dignn.graphdata import (
+    SynthConfig, downsample_epoch, gather_batch, stratified_split, synth_generate,
+)
 from dignn.metrics import MetricsReport, compute_report
 from dignn.model import DignnConfig, DignnParams
 from dignn.rng import generator, seed_streams
@@ -112,6 +114,60 @@ class TestTrain:
         # Epochs 1 and 2 each improved on the best validation AUC.
         assert snapped == 2 * [set(build_optimizer(params, cfg).params)]
         assert not any(n.startswith("dec_") for n in snapped[0])
+
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_holds_one_tape_and_one_snapshot(self, monkeypatch, ablation):
+        # N-sized tensors dominate here, so that a second snapshot or a
+        # second step's tape alive at once shows: each adds 0.6 to 2.6 MB to
+        # a peak of 18 (no_mi) or 29.5 MB (full).
+        g = synth_generate(SynthConfig(num_nodes=20_000, feature_dim=8,
+                                       fraud_rate=0.05, seed=1))
+        split = stratified_split(g, (0.4, 0.2, 0.4), seed=1)
+        cfg = small_train_cfg(batch_size=256, ablation=ablation,
+                              model=DignnConfig(embed_dim=8, hidden_dim=16))
+        params = DignnParams.init(g.num_nodes, g.feature_dim, cfg.model, 0)
+        opt = build_optimizer(params, cfg)
+        # One step from no grads: the peak of its forward (with the batch it
+        # reads) and of the whole step, which ends holding its grads.
+        ids = downsample_epoch(split.train, g.labels, 0)[:cfg.batch_size]
+        tracemalloc.start()
+        try:
+            loss, _ = _batch_losses(params, gather_batch(g, ids), cfg, generator(0))
+            fwd = tracemalloc.get_traced_memory()[1]
+            ad.backward(loss)
+            step = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del loss
+        score = _peak_bytes(lambda: evaluate(params, g, split.val))
+        adam = _peak_bytes(lambda: build_optimizer(params, cfg))  # moments, scratch
+        tensors = sum(v.value.nbytes for v in params.tensors.values())
+        trained = sum(v.value.nbytes for v in opt.params.values())
+        grads = sum(v.grad.nbytes for v in opt.params.values())
+        del params, opt
+
+        real, aucs, events = trainer.evaluate, iter((0.6, 0.9, 0.7)), []
+        monkeypatch.setattr(trainer, "evaluate",
+                            lambda *args: replace(real(*args), auc=next(aucs)))
+
+        def spy(name, fn):
+            def recorded(*args):
+                events.append(name)
+                return fn(*args)
+            return recorded
+
+        for name in ("snapshot", "restore"):
+            monkeypatch.setattr(DignnParams, name, spy(name, getattr(DignnParams, name)))
+        peak = _peak_bytes(lambda: train(g, split, cfg))
+        # Epoch 2's snapshot replaces epoch 1's, and epoch 2 is restored.
+        assert events == ["snapshot", "snapshot", "restore"]
+        # Parameters, Adam's state and one snapshot, then one working set at
+        # a time: a forward or a validation pass while the last step's grads
+        # are held, or a step from zero_grad on. The 2% covers train's own
+        # bookkeeping and batches whose forward reads more columns (the peak
+        # reads 1.01 of the bound; either copy held too long reads 1.03-1.10).
+        bound = tensors + adam + trained + max(grads + fwd, step, grads + score)
+        assert peak <= 1.02 * bound
 
     def test_one_epoch_copies_no_parameters(self, small_data, monkeypatch):
         # The only epoch is the best one, and its parameters are returned as
