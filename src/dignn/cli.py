@@ -6,11 +6,8 @@ Subcommands: train, eval, synth, gradcheck, export-embeddings.
 wrote: its manifest (the data is hash-checked, then split and normalized as in
 training) and its ``model.bin``. ``eval`` prints ``DIR/metrics.json`` again.
 
-Exit codes: 0 success, 1 gradient-check failure, 2 usage/config error (also an
-unformable split, a metric the split leaves undefined, an unwritable --out, or
---manifest with a flag), 3 load error (graph or model, a data file whose hash
-differs from the manifest's, or a model.bin whose hash differs from the one the
-manifest recorded or that has none), 4 training divergence.
+Exit codes: 0 success, 1 gradient-check failure; ``FAILURE_EXITS`` gives the
+code of every error (the README's "Exit codes" table lists it).
 """
 
 from __future__ import annotations
@@ -20,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from functools import partial
 
@@ -66,6 +64,16 @@ class UsageError(DignnError):
     pass
 
 
+# The exit code and stderr prefix of each error ``main`` reports.
+FAILURE_EXITS = {
+    UsageError: (EXIT_USAGE, "usage error"),
+    SplitError: (EXIT_USAGE, "usage error"),
+    UndefinedMetricError: (EXIT_USAGE, "usage error"),
+    GraphLoadError: (EXIT_LOAD, "load error"),
+    DivergenceError: (EXIT_DIVERGENCE, "error"),
+}
+
+
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
@@ -73,21 +81,25 @@ def _flag(key: str) -> str:
 def read_config_file(path: str) -> dict:
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (p.strip() for p in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                out[key] = CONFIG_KEYS[key](value)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (p.strip() for p in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[key] = CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return out
 
 
@@ -155,25 +167,27 @@ def _write_json(obj, path: str):
         fh.write("\n")
 
 
+@contextmanager
+def _output(path: str):
+    """An OS error while writing the output ``path`` (a missing directory, a
+    file where a directory should be or the reverse) is a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_atomic(path: str, write):
     """Have ``write`` fill a temp file beside ``path``, then move it into
     place, so ``path`` holds either its old content or all of the new."""
     tmp = path + ".tmp"
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _output(path: str, act):
-    """``act(path)`` on an output path the user named; an OS error there
-    (a missing directory, a file where a directory should be) is a usage error."""
-    try:
-        act(path)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+    with _output(path):
+        try:
+            write(tmp)
+            os.replace(tmp, path)
+        finally:
+            if os.path.isfile(tmp):
+                os.remove(tmp)
 
 
 def _sha256(path: str) -> str:
@@ -249,7 +263,8 @@ def cmd_train(args) -> int:
     tcfg = build_train_config(cfg)
     hashes, graph, split = _load_data(data_dir, cfg, recorded)
 
-    _output(args.out, partial(os.makedirs, exist_ok=True))
+    with _output(args.out):
+        os.makedirs(args.out, exist_ok=True)
     paths = {name: os.path.join(args.out, fn) for name, fn in (
         ("manifest", "manifest.json"), ("model", "model.bin"),
         ("history", "history.csv"), ("metrics", "metrics.json"))}
@@ -261,21 +276,22 @@ def cmd_train(args) -> int:
         "input_hashes": hashes,
         "variant": variant_tag(cfg),
     }
-    write_manifest = partial(_write_json, manifest)
+    # Written last, so a run whose writes failed has no manifest for eval.
+    write_manifest = partial(_write_atomic, paths["manifest"],
+                             partial(_write_json, manifest))
     try:
         params, history = train(graph, split, tcfg)
     except DivergenceError as exc:
-        _write_atomic(paths["manifest"], write_manifest)
         _write_atomic(paths["history"], exc.history.write_csv)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+        write_manifest()
+        raise
 
     payload = _test_report(cfg, params, graph, split)
     _write_atomic(paths["model"], params.save)
     manifest["output_hashes"] = {"model.bin": _sha256(paths["model"])}
-    _write_atomic(paths["manifest"], write_manifest)
     _write_atomic(paths["history"], history.write_csv)
     _write_atomic(paths["metrics"], partial(_write_json, payload))
+    write_manifest()
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -284,7 +300,7 @@ def cmd_eval(args) -> int:
     payload = _test_report(*_load_run(args.run))
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        _output(args.out, partial(_write_atomic, write=partial(_write_json, payload)))
+        _write_atomic(args.out, partial(_write_json, payload))
     return EXIT_OK
 
 
@@ -294,7 +310,8 @@ def cmd_synth(args) -> int:
             SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)}))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _output(args.out, partial(save_graph, graph))
+    with _output(args.out):
+        save_graph(graph, args.out)
     dist = neighbor_label_distribution(graph)
     names = {0: "benign", 1: "fraud"}
     printable = {
@@ -339,7 +356,7 @@ def cmd_export_embeddings(args) -> int:
                     fh.write(f"{nid},{lab}," +
                              ",".join(repr(float(x)) for x in row) + "\n")
 
-    _output(args.out, partial(_write_atomic, write=write))
+    _write_atomic(args.out, write)
     return EXIT_OK
 
 
@@ -381,16 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, SplitError, UndefinedMetricError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GraphLoadError as exc:
-        print(f"load error: {exc}", file=sys.stderr)
-        return EXIT_LOAD
+    except tuple(FAILURE_EXITS) as exc:
+        code, prefix = FAILURE_EXITS[type(exc)]
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -121,15 +121,19 @@ def build_union_adj(relations: dict[str, np.ndarray], num_nodes: int) -> sp.csr_
     return sp.csr_matrix((np.ones(codes.size), codes % n, indptr), shape=(n, n))
 
 
-def _read_exact(path: str, dtype, count: int, what: str) -> np.ndarray:
+def _read_exact(path: str, dtype, count: int | None, what: str) -> np.ndarray:
+    """The values of ``dtype`` in ``path``, ``count`` of them unless it is None.
+    Its size is checked first, so nothing past ``count`` values is read."""
     if not os.path.isfile(path):
         raise GraphLoadError(f"missing file: {path}")
-    data = np.fromfile(path, dtype=dtype)
-    if data.size != count:
-        raise GraphLoadError(
-            f"{what}: expected {count} values in {path}, found {data.size}"
-        )
-    return data
+    itemsize = np.dtype(dtype).itemsize
+    found, rest = divmod(os.path.getsize(path), itemsize)
+    if rest:
+        raise GraphLoadError(f"{what}: {path} ends in a partial value "
+                             f"({rest} of {itemsize} bytes)")
+    if count is not None and found != count:
+        raise GraphLoadError(f"{what}: expected {count} values in {path}, found {found}")
+    return np.fromfile(path, dtype=dtype, count=found)
 
 
 def load_graph(path: str) -> FraudGraph:
@@ -161,9 +165,7 @@ def load_graph(path: str) -> FraudGraph:
     relations = {}
     for name in rel_names:
         epath = os.path.join(path, f"edges_{name}.u32le")
-        if not os.path.isfile(epath):
-            raise GraphLoadError(f"missing file: {epath}")
-        raw = np.fromfile(epath, dtype="<u4")
+        raw = _read_exact(epath, "<u4", None, "edges")
         if raw.size % 2:
             raise GraphLoadError(f"odd number of endpoints in {epath}")
         edges = raw.reshape(-1, 2)

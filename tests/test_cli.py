@@ -88,9 +88,264 @@ def _copy_run(run, tmp_path):
     return copy
 
 
-def _model_bytes(run) -> bytearray:
-    with open(os.path.join(run, "model.bin"), "rb") as fh:
-        return bytearray(fh.read())
+def _flipped_copy(data_dir, tmp_path) -> str:
+    """A copy of ``data_dir`` whose features file differs in one bit."""
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir, copy)
+    _bytes(lambda b: bytes([b[0] ^ 1]) + b[1:])(copy / "features.f32le")
+    return str(copy)
+
+
+def _exits(capsys, argv, code, fragment="", out=None):
+    """Check that ``main(argv)`` returns ``code``, prints the code's prefix
+    and ``fragment`` and no traceback, and leaves no ``out``."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    prefix = {EXIT_USAGE: "usage error: ", EXIT_LOAD: "load error: ",
+              EXIT_DIVERGENCE: "error: "}[code]
+    assert err.startswith(prefix) and "Traceback" not in err, err
+    assert fragment in err, err
+    assert out is None or not os.path.exists(out)
+
+
+# Changes that the failure table makes to one file of a copied input.
+def _directory(path):
+    if path.is_file():
+        path.unlink()
+    path.mkdir()
+
+
+def _bytes(edit):
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
+
+
+def _write(data: bytes):
+    return lambda path: path.write_bytes(data)
+
+
+def _patch(*edits):
+    """Overwrite the bytes at each (offset, data) pair."""
+    def edit(blob):
+        blob = bytearray(blob)
+        for offset, data in edits:
+            blob[offset:offset + len(data)] = data
+        return bytes(blob)
+    return _bytes(edit)
+
+
+def _json(edit):
+    def change(path):
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+    return change
+
+
+def _model(edit):
+    def change(path):
+        params = DignnParams.load(str(path))
+        edit(params)
+        params.save(str(path))
+    return change
+
+
+def _meta(n, relations='["SYN"]'):
+    return _write(f'{{"num_nodes": {n}, "feature_dim": 8, "relations": {relations}}}'
+                  .encode())
+
+
+_U32 = partial(struct.pack, "<I")
+
+# The failure table: each input the CLI reads, by group, with the scaffold
+# that ``fails`` copies it into, the file changed there, the exit code, and
+# rows of (id, change, stderr fragment). "{dir}" in a fragment is the
+# directory holding the file. Ids such as "version-version 2" are those of
+# the tests the rows replaced. NaN and negative config values, by flag,
+# config file and manifest, are the rows of
+# ``test_invalid_value_is_usage_error_before_out``.
+FAILURES = {
+    "meta.json": ("graph", "meta.json", EXIT_LOAD, [
+        ("missing", os.remove, "missing file: {dir}/meta.json"),
+        ("empty", _write(b""), "bad meta.json"),
+        ("not_json", _write(b"{bad"), "bad meta.json"),
+        ("not_utf8", _write(b"\xff"), "bad meta.json"),
+        ("missing_key", _json(lambda m: m.pop("feature_dim")), "bad meta.json"),
+        ("bad_int", _meta('"abc"', "[]"), "bad meta.json"),
+        # n * d matches the features file, so only the sign can catch it
+        ("negative", _write(b'{"num_nodes": -200, "feature_dim": -8, "relations": []}'),
+         "bad meta.json"),
+        # int() would read these as the graph's 200 nodes, or a bool as 1
+        ("float", _meta(200.9), "bad meta.json"),
+        ("bool", _meta("true"), "bad meta.json"),
+        ("string", _meta('"200"'), "bad meta.json"),
+        ("nan", _meta("NaN"), "bad meta.json"),
+        ("relations_string", _meta(200, '"SYN"'), "bad meta.json"),
+        # refused by the features file's size, before anything is read
+        ("past_the_data", _meta(2 ** 31),
+         f"features: expected {2 ** 34} values in {{dir}}/features.f32le, found 1600"),
+    ]),
+    "features.f32le": ("graph", "features.f32le", EXIT_LOAD, [
+        ("missing", os.remove, "missing file: {dir}/features.f32le"),
+        ("empty", _write(b""), "expected 1600 values in {dir}/features.f32le, found 0"),
+        ("short", _bytes(lambda b: b[:-4]), "expected 1600 values in "
+         "{dir}/features.f32le, found 1599"),
+        ("partial_value", _bytes(lambda b: b + b"\0\0"), "features: "
+         "{dir}/features.f32le ends in a partial value (2 of 4 bytes)"),
+        ("nan", _patch((0, struct.pack("<f", math.nan))), "non-finite values"),
+    ]),
+    "labels.i8": ("graph", "labels.i8", EXIT_LOAD, [
+        ("missing", os.remove, "missing file: {dir}/labels.i8"),
+        ("empty", _write(b""), "expected 200 values in {dir}/labels.i8, found 0"),
+        ("out_of_range", _patch((0, b"\x05")), "labels must lie in {-1, 0, 1}"),
+        ("negative", _patch((0, b"\xfe")), "labels must lie in {-1, 0, 1}"),
+    ]),
+    "edges_SYN.u32le": ("graph", "edges_SYN.u32le", EXIT_LOAD, [
+        ("missing", os.remove, "missing file: {dir}/edges_SYN.u32le"),
+        ("partial_value", _bytes(lambda b: b + b"\0\0"), "edges: "
+         "{dir}/edges_SYN.u32le ends in a partial value (2 of 4 bytes)"),
+        ("odd", _bytes(lambda b: b + bytes(4)), "odd number of endpoints in "
+         "{dir}/edges_SYN.u32le"),
+        ("past_the_nodes", _patch((0, _U32(200))), "edge endpoint 200 out of range"),
+    ]),
+    "config file": ("config", "cfg.txt", EXIT_USAGE, [
+        ("missing", os.remove, "config file not found: {dir}/cfg.txt"),
+        ("directory", _directory, "config file not found: {dir}/cfg.txt"),
+        ("not_utf8", _write(b"epochs = 1\xff\n"),
+         "cannot read config file {dir}/cfg.txt: 'utf-8' codec can't decode"),
+        ("no_equals", _write(b"epochs 1\n"), "{dir}/cfg.txt:1: expected 'key = value'"),
+        ("empty_value", _write(b"epochs =\n"), "cfg.txt:1: bad value for epochs: ''"),
+        ("wrong_type", _write(b"# n\nbatch_size = 1e3\n"),
+         "cfg.txt:2: bad value for batch_size: '1e3'"),
+    ]),
+    "manifest": ("manifest", "manifest.json", EXIT_USAGE, [
+        ("missing_file", os.remove, "cannot read manifest"),
+        ("directory", _directory, "cannot read manifest"),
+        ("empty", _write(b""), "cannot read manifest"),
+        ("not_json", _write(b"{config: "), "cannot read manifest"),
+        ("not_utf8", _write(b'{"data": "\xff"}'), "cannot read manifest"),
+        ("not_object", _write(b"[]"), "a manifest needs a 'config' object"),
+        ("no_config", _json(lambda m: m.pop("config")), "config"),
+        ("data_not_string", _json(lambda m: m.update(data=3)), "'data' path"),
+        ("missing_key", _json(lambda m: m["config"].pop("embed_dim")), "embed_dim"),
+        ("unknown_key", _json(lambda m: m["config"].update(learning_rate=0.1)),
+         "learning_rate"),
+        # written before the knob, or the unshared attention, went
+        ("dropped_knob",
+         _json(lambda m: m["config"].update(drop_conditional_terms=False)),
+         "drop_conditional_terms"),
+        ("shared_attention", _json(lambda m: m["config"].update(shared_attention=True)),
+         "shared_attention"),
+        ("hashes_not_object", _json(lambda m: m.update(input_hashes=["meta.json"])),
+         "input_hashes"),
+        ("output_hashes_not_object", _json(lambda m: m.update(output_hashes="model.bin")),
+         "output_hashes"),
+        ("wrong_type", _json(lambda m: m["config"].update(epochs="3")), "epochs"),
+    ]),
+    "run manifest": ("run", "manifest.json", EXIT_USAGE, [
+        ("empty", _write(b""), "cannot read manifest {dir}/manifest.json"),
+        ("not_utf8", _write(b"\xff"), "cannot read manifest {dir}/manifest.json"),
+        ("directory", _directory, "cannot read manifest {dir}/manifest.json"),
+        ("not_object", _write(b"null"), "{dir}/manifest.json: a manifest needs"),
+    ]),
+    # model.bin: a 31-byte header (version at 6, node count at 10, tensor
+    # count at 26, flag byte at 30), then enc_a_w1's name length, name (at
+    # 35) and shape (rows at 43), and its first value (at 51).
+    "model.bin size": ("run", "model.bin", EXIT_LOAD, [
+        ("empty", _write(b""), "not a model file: {dir}/model.bin"),
+        ("truncated", _bytes(lambda b: b[:20]), "truncated model file: {dir}/model.bin"),
+        # n and enc_a_w1's rows claim 2**31 nodes
+        ("huge_header-truncated", _patch((10, _U32(2 ** 31)), (43, _U32(2 ** 31))),
+         "truncated model file: {dir}/model.bin"),
+        ("trailing_bytes-trailing bytes", _bytes(lambda b: b + bytes(8)),
+         "trailing bytes"),
+    ]),
+    "model.bin header": ("run", "model.bin", EXIT_LOAD, [
+        ("version-version 2", _patch((6, _U32(2))), "version 2"),
+        ("tensor_count-20 tensors", _patch((26, _U32(20))), "20 tensors"),
+        ("flag_byte", _patch((30, b"\0")), "flag byte 0"),
+        ("renamed-'att_q'", _bytes(lambda b: b.replace(b"att_q", b"att_z", 1)),
+         "'att_q'"),
+        ("not_utf8_name", _bytes(lambda b: b.replace(b"enc_a_w1", b"\xffnc_a_w1", 1)),
+         "'enc_a_w1'"),
+        ("wrong_shape", _model(lambda p: p.tensors.update(att_q=Var(np.zeros((5, 1))))),
+         "'att_q' of shape"),
+    ]),
+    "model.bin hash": ("run", "model.bin", EXIT_LOAD, [
+        # A diverged run leaves a manifest but no model.bin.
+        ("missing", os.remove, "cannot open model file {dir}/model.bin"),
+        ("directory", _directory, "cannot open model file {dir}/model.bin"),
+        # A model of the same graph that this run did not write: the
+        # dimensions fit, and only the recorded hash tells.
+        ("other_runs_model", _patch((51, struct.pack("<d", 0.5))),
+         "{dir}/model.bin differs from the manifest's output hash"),
+        ("nan", _patch((51, struct.pack("<d", math.nan))),
+         "{dir}/model.bin differs from the manifest's"),
+        ("no_recorded_hash",  # the manifest beside model.bin records none
+         lambda p: _json(lambda m: m.pop("output_hashes"))(p.parent / "manifest.json"),
+         "{dir}/model.bin differs from the manifest's output hash, or the "
+         "manifest records none"),
+        ("other_graphs_model",
+         lambda path: DignnParams.init(100, 8, DignnConfig(), seed=0).save(str(path)),
+         "model dims (100, 8) do not match graph (200, 8)"),
+    ]),
+}
+# Paths in --out that train cannot write. It writes manifest.json last, so
+# none of them leaves a run that eval --run would read.
+FAILURES.update({f"--out {name}": ("out", name, EXIT_USAGE, [
+    ("directory", _directory, f"cannot write {{dir}}/{name}")])
+    for name in ("model.bin", "history.csv", "metrics.json", "manifest.json")})
+
+
+def _rows(*groups):
+    """The rows of ``groups`` as parameters of ``fails``, with the group's
+    name before the row's id where there are several groups."""
+    params = []
+    for group in groups:
+        kind, name, code, rows = FAILURES[group]
+        params += [pytest.param((kind, name, code, change, fragment),
+                                id=case if len(groups) == 1 else f"{group}-{case}")
+                   for case, change, fragment in rows]
+    return params
+
+
+@pytest.fixture
+def fails(data_dir, trained_run, tmp_path, capsys):
+    """Check a row of ``FAILURES``: with the row's change made to a copy of
+    its input, the command that reads it returns the row's code, prints
+    the code's prefix and the row's fragment and no traceback, and leaves
+    no --out (for the --out rows, no manifest.json)."""
+    def check(kind, name, code, change, fragment):
+        out = tmp_path / "o"
+        where = {"graph": tmp_path / "g", "run": tmp_path / "run",
+                 "out": out}.get(kind, tmp_path)
+        argv = ["train", "--data", str(where) if kind == "graph" else data_dir,
+                "--epochs", "1"]
+        if kind == "graph":
+            shutil.copytree(data_dir, where)
+        elif kind == "config":
+            (where / name).write_text("")
+            argv += ["--config", str(where / name)]
+        elif kind == "manifest":
+            shutil.copy(os.path.join(trained_run, name), where)
+            argv = ["train", "--manifest", str(where / name)]
+        elif kind == "run":
+            shutil.copytree(trained_run, where)
+            argv = ["eval", "--run", str(where)]
+        else:
+            out.mkdir()
+        change(where / name)
+        _exits(capsys, [*argv, "--out", str(out)], code,
+               fragment.replace("{dir}", str(where)), None if kind == "out" else out)
+        assert not (out / "manifest.json").is_file()
+    return check
+
+
+# The groups whose rows replaced named tests run under those names, below.
+@pytest.mark.parametrize("row", _rows(
+    "features.f32le", "labels.i8", "edges_SYN.u32le", "config file", "run manifest",
+    *(g for g in FAILURES if g.startswith("--out"))))
+def test_failure_table(fails, row):
+    fails(*row)
 
 
 class TestSynth:
@@ -108,15 +363,14 @@ class TestSynth:
         assert dist["fraud"]["benign"] == pytest.approx(0.81, abs=0.06)
 
     def test_invalid_parameters_usage_error(self, tmp_path, capsys):
-        code = main(["synth", "--fraud-rate", "0", "--out", str(tmp_path / "g")])
-        assert code == EXIT_USAGE
+        out = str(tmp_path / "g")
+        _exits(capsys, ["synth", "--fraud-rate", "0", "--out", out], EXIT_USAGE,
+               "fraud_rate", out)
 
     def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "g"
         out.write_text("keep")
-        code = main(["synth", "--n", "100", "--out", str(out)])
-        assert code == EXIT_USAGE
-        assert str(out) in capsys.readouterr().err
+        _exits(capsys, ["synth", "--n", "100", "--out", str(out)], EXIT_USAGE, str(out))
         assert out.read_text() == "keep"
 
     def test_class_of_one_with_a_same_class_edge_is_usage_error(self, tmp_path):
@@ -168,10 +422,9 @@ class TestSynth:
     ])
     def test_non_finite_value_or_negative_seed_is_usage_error(self, tmp_path, capsys,
                                                               flag, value):
-        out = tmp_path / "g"
-        assert main(["synth", "--n", "100", flag, value, "--out", str(out)]) == EXIT_USAGE
-        assert "usage error" in capsys.readouterr().err
-        assert not out.exists()
+        out = str(tmp_path / "g")
+        _exits(capsys, ["synth", "--n", "100", flag, value, "--out", out], EXIT_USAGE,
+               out=out)
 
 
 class TestTrain:
@@ -189,7 +442,7 @@ class TestTrain:
                 fh.write("half")
             raise OSError("disk full")
 
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(UsageError, match=f"cannot write {path}: disk full"):
             _write_atomic(str(path), broken)
         assert path.read_text() == "old"
         assert os.listdir(tmp_path) == ["metrics.json"]
@@ -209,7 +462,8 @@ class TestTrain:
         assert "meta.json" in manifest["input_hashes"]
         assert manifest["config"]["epochs"] == 3
         assert manifest["outputs"]["model"] == "model.bin"
-        digest = hashlib.sha256(_model_bytes(trained_run)).hexdigest()
+        with open(os.path.join(trained_run, "model.bin"), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         assert manifest["output_hashes"] == {"model.bin": digest}
 
     def test_manifest_rerun_reproduces_model(self, trained_run, tmp_path, capsys):
@@ -221,74 +475,17 @@ class TestTrain:
         b = open(os.path.join(out2, "model.bin"), "rb").read()
         assert a == b
 
-    @pytest.mark.parametrize("case", [
-        "missing_file", "directory", "not_json", "no_config", "missing_key",
-        "unknown_key", "dropped_knob", "shared_attention", "hashes_not_object",
-        "output_hashes_not_object", "wrong_type",
-    ])
-    def test_bad_manifest_is_usage_error(self, trained_run, tmp_path, capsys, case):
-        with open(os.path.join(trained_run, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        cfg = manifest["config"]
-        path = tmp_path / "manifest.json"
-        named = None
-        if case == "missing_file":
-            path = tmp_path / "absent.json"
-        elif case == "directory":
-            path = tmp_path
-        elif case == "not_json":
-            path.write_text("{config: ")
-        else:
-            if case == "no_config":
-                del manifest["config"]
-                named = "config"
-            elif case == "missing_key":
-                del cfg["embed_dim"]
-                named = "embed_dim"
-            elif case == "unknown_key":
-                cfg["learning_rate"] = 0.1
-                named = "learning_rate"
-            elif case == "dropped_knob":  # a manifest written before the knob went
-                cfg["drop_conditional_terms"] = False
-                named = "drop_conditional_terms"
-            elif case == "shared_attention":  # written before the fork went
-                cfg["shared_attention"] = True
-                named = "shared_attention"
-            elif case == "hashes_not_object":
-                manifest["input_hashes"] = ["meta.json"]
-                named = "input_hashes"
-            elif case == "output_hashes_not_object":
-                manifest["output_hashes"] = "model.bin"
-                named = "output_hashes"
-            else:
-                cfg["epochs"] = "3"
-                named = "epochs"
-            path.write_text(json.dumps(manifest))
-        code = main(["train", "--manifest", str(path), "--out", str(tmp_path / "o")])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "usage error" in err
-        if named:
-            assert named in err
-        assert not (tmp_path / "o").exists()
+    @pytest.mark.parametrize("row", _rows("manifest"))
+    def test_bad_manifest_is_usage_error(self, fails, row):
+        fails(*row)
 
     def test_changed_input_is_load_error(self, trained_run, data_dir, tmp_path,
                                          capsys):
-        copy = tmp_path / "data"
-        shutil.copytree(data_dir, copy)
-        blob = bytearray((copy / "features.f32le").read_bytes())
-        blob[0] ^= 1
-        (copy / "features.f32le").write_bytes(bytes(blob))
-        with open(os.path.join(trained_run, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        manifest["data"] = str(copy)
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        out = tmp_path / "o"
-        code = main(["train", "--manifest", str(path), "--out", str(out)])
-        assert code == EXIT_LOAD
-        assert "features.f32le" in capsys.readouterr().err
-        assert not out.exists()
+        path = _copy_run(trained_run, tmp_path) / "manifest.json"
+        _json(lambda m: m.update(data=_flipped_copy(data_dir, tmp_path)))(path)
+        out = str(tmp_path / "o")
+        _exits(capsys, ["train", "--manifest", str(path), "--out", out], EXIT_LOAD,
+               "features.f32le in", out)
 
     @pytest.mark.parametrize("flag, value", [
         ("--data", "/nonexistent"), ("--config", "cfg.txt"), ("--seed", "9"),
@@ -297,68 +494,44 @@ class TestTrain:
     ])
     def test_manifest_with_a_flag_is_usage_error(self, trained_run, tmp_path,
                                                  capsys, flag, value):
-        out = tmp_path / "o"
-        code = main(["train", "--manifest",
-                     os.path.join(trained_run, "manifest.json"),
-                     flag, value, "--out", str(out)])
-        assert code == EXIT_USAGE
-        assert flag in capsys.readouterr().err
-        assert not out.exists()
+        out = str(tmp_path / "o")
+        _exits(capsys, ["train", "--manifest", os.path.join(trained_run, "manifest.json"),
+                        flag, value, "--out", out], EXIT_USAGE, flag, out)
 
     def test_missing_data_is_usage_error(self, tmp_path, capsys):
-        code = main(["train", "--out", str(tmp_path / "o")])
-        assert code == EXIT_USAGE
+        out = str(tmp_path / "o")
+        _exits(capsys, ["train", "--out", out], EXIT_USAGE, "requires --data", out)
 
     def test_bad_data_dir_is_load_error(self, tmp_path, capsys):
-        code = main(["train", "--data", str(tmp_path / "nope"),
-                     "--out", str(tmp_path / "o")])
-        assert code == EXIT_LOAD
+        out, data = str(tmp_path / "o"), str(tmp_path / "nope")
+        _exits(capsys, ["train", "--data", data, "--out", out], EXIT_LOAD,
+               f"not a directory: {data}", out)
 
-    @pytest.mark.parametrize("meta", [
-        "{bad",
-        '{"num_nodes": "abc", "feature_dim": 8, "relations": []}',
-        # n * d matches the features file, so only the sign can catch it
-        '{"num_nodes": -200, "feature_dim": -8, "relations": []}',
-        # int() would read these as the graph's 200 nodes, or a bool as 1
-        '{"num_nodes": 200.9, "feature_dim": 8, "relations": ["SYN"]}',
-        '{"num_nodes": true, "feature_dim": 8, "relations": ["SYN"]}',
-        '{"num_nodes": "200", "feature_dim": 8, "relations": ["SYN"]}',
-        '{"num_nodes": 200, "feature_dim": 8, "relations": "SYN"}',
-    ], ids=["not_json", "bad_int", "negative", "float", "bool", "string",
-            "relations_string"])
-    def test_malformed_meta_is_load_error(self, data_dir, tmp_path, capsys, meta):
-        bad = tmp_path / "g"
-        shutil.copytree(data_dir, bad)
-        (bad / "meta.json").write_text(meta)
-        out = tmp_path / "o"
-        assert main(["train", "--data", str(bad), "--out", str(out)]) == EXIT_LOAD
-        assert "bad meta.json" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("row", _rows("meta.json"))
+    def test_malformed_meta_is_load_error(self, fails, row):
+        fails(*row)
 
     def test_divergence_exit_code(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("lr = 1e200\nepochs = 3\nbatch_size = 16\n")
         out = str(tmp_path / "o")
         with np.errstate(all="ignore"):
-            code = main(["train", "--data", data_dir, "--config", str(cfg),
-                         "--out", out])
-        assert code == EXIT_DIVERGENCE
+            _exits(capsys, ["train", "--data", data_dir, "--config", str(cfg),
+                            "--out", out], EXIT_DIVERGENCE, "non-finite loss")
         assert sorted(os.listdir(out)) == ["history.csv", "manifest.json"]
 
     def test_non_numeric_config_value_is_usage_error(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("epochs = abc\n")
-        code = main(["train", "--data", data_dir, "--config", str(cfg),
-                     "--out", str(tmp_path / "o")])
-        assert code == EXIT_USAGE
-        assert "epochs" in capsys.readouterr().err
+        out = str(tmp_path / "o")
+        _exits(capsys, ["train", "--data", data_dir, "--config", str(cfg), "--out", out],
+               EXIT_USAGE, "bad value for epochs: 'abc'", out)
 
     def test_invalid_config_is_usage_error_before_manifest(self, data_dir, tmp_path,
                                                             capsys):
-        out = tmp_path / "o"
-        code = main(["train", "--data", data_dir, "--epochs", "0", "--out", str(out)])
-        assert code == EXIT_USAGE
-        assert not (out / "manifest.json").exists()
+        out = str(tmp_path / "o")
+        _exits(capsys, ["train", "--data", data_dir, "--epochs", "0", "--out", out],
+               EXIT_USAGE, "epochs", out)
 
     @pytest.mark.parametrize("route, key, value", [
         *(("flag", k, v) for k, v in _INVALID_VALUES if k in cli._OVERRIDES),
@@ -375,24 +548,18 @@ class TestTrain:
             cfg.write_text(f"{key} = {value}\n")
             source = ["--data", data_dir, "--config", str(cfg)]
         else:
-            with open(os.path.join(trained_run, "manifest.json")) as fh:
-                manifest = json.load(fh)
-            manifest["config"][key] = value
-            path = tmp_path / "manifest.json"
-            path.write_text(json.dumps(manifest))
+            path = _copy_run(trained_run, tmp_path) / "manifest.json"
+            _json(lambda m: m["config"].update({key: value}))(path)
             source = ["--manifest", str(path)]
-        out = tmp_path / "o"
-        assert main(["train", *source, "--out", str(out)]) == EXIT_USAGE
-        assert "usage error" in capsys.readouterr().err
-        assert not out.exists()
+        out = str(tmp_path / "o")
+        _exits(capsys, ["train", *source, "--out", out], EXIT_USAGE, out=out)
 
     def test_unformable_split_is_usage_error(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("train_ratio = 0.5\nval_ratio = 0.5\ntest_ratio = 0.5\n")
-        code = main(["train", "--data", data_dir, "--config", str(cfg),
-                     "--epochs", "1", "--out", str(tmp_path / "o")])
-        assert code == EXIT_USAGE
-        assert "ratios" in capsys.readouterr().err
+        out = str(tmp_path / "o")
+        _exits(capsys, ["train", "--data", data_dir, "--config", str(cfg),
+                        "--epochs", "1", "--out", out], EXIT_USAGE, "ratios", out)
 
     def test_split_error_leaves_no_manifest(self, data_dir, tmp_path, capsys):
         # A split that cannot be formed; one whose validation set would hold
@@ -409,18 +576,16 @@ class TestTrain:
             cfg = tmp_path / f"cfg{i}.txt"
             cfg.write_text("train_ratio = {}\nval_ratio = {}\ntest_ratio = {}\n"
                            .format(*ratios))
-            out = tmp_path / f"o{i}"
-            code = main(["train", "--data", data, "--config", str(cfg),
-                         "--epochs", "1", "--batch-size", "64", "--out", str(out)])
-            assert code == EXIT_USAGE
-            assert not out.exists()
+            out = str(tmp_path / f"o{i}")
+            _exits(capsys, ["train", "--data", data, "--config", str(cfg),
+                            "--epochs", "1", "--batch-size", "64", "--out", out],
+                   EXIT_USAGE, out=out)
 
     def test_out_naming_a_file_is_usage_error(self, data_dir, tmp_path, capsys):
         out = tmp_path / "o"
         out.write_text("keep")
-        code = main(["train", "--data", data_dir, "--epochs", "1", "--out", str(out)])
-        assert code == EXIT_USAGE
-        assert str(out) in capsys.readouterr().err
+        _exits(capsys, ["train", "--data", data_dir, "--epochs", "1", "--out", str(out)],
+               EXIT_USAGE, f"cannot write {out}")
         assert out.read_text() == "keep"
 
     def test_undefined_validation_metric_is_usage_error(self, data_dir, tmp_path,
@@ -430,14 +595,11 @@ class TestTrain:
         # set, the class and the ratios.
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("train_ratio = 0.98\nval_ratio = 0.01\ntest_ratio = 0.01\n")
-        out = tmp_path / "o"
-        code = main(["train", "--data", data_dir, "--config", str(cfg),
-                     "--epochs", "1", "--batch-size", "64", "--out", str(out)])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "no validation node" in err and "class 1" in err
-        assert "(0.98, 0.01, 0.01)" in err
-        assert not out.exists()
+        out = str(tmp_path / "o")
+        _exits(capsys, ["train", "--data", data_dir, "--config", str(cfg),
+                        "--epochs", "1", "--batch-size", "64", "--out", out], EXIT_USAGE,
+               "ratios (0.98, 0.01, 0.01) leave class 1 (57 labeled nodes) no "
+               "validation node", out)
 
 
 @pytest.mark.parametrize("command", [["eval"], ["export-embeddings", "--out", "z.csv"]])
@@ -476,133 +638,34 @@ class TestEval:
             assert capsys.readouterr().out.encode() == fh.read()
 
     def test_changed_data_is_load_error(self, ratio_run, data_dir, tmp_path, capsys):
-        data = tmp_path / "data"
-        shutil.copytree(data_dir, data)
-        blob = bytearray((data / "features.f32le").read_bytes())
-        blob[0] ^= 1
-        (data / "features.f32le").write_bytes(bytes(blob))
         run = _copy_run(ratio_run, tmp_path)
-        manifest = json.loads((run / "manifest.json").read_text())
-        manifest["data"] = str(data)
-        (run / "manifest.json").write_text(json.dumps(manifest))
-        code = main(["eval", "--run", str(run)])
-        assert code == EXIT_LOAD
-        assert "features.f32le" in capsys.readouterr().err
+        _json(lambda m: m.update(data=_flipped_copy(data_dir, tmp_path)))(
+            run / "manifest.json")
+        _exits(capsys, ["eval", "--run", str(run)], EXIT_LOAD, "features.f32le in")
 
     def test_missing_manifest_is_usage_error(self, trained_run, tmp_path, capsys):
         run = _copy_run(trained_run, tmp_path)
         os.remove(run / "manifest.json")
-        code = main(["eval", "--run", str(run)])
-        assert code == EXIT_USAGE
-        assert "manifest.json" in capsys.readouterr().err
-
-    def test_missing_model_is_load_error(self, trained_run, tmp_path, capsys):
-        # A diverged run leaves a manifest but no model.bin.
-        run = _copy_run(trained_run, tmp_path)
-        os.remove(run / "model.bin")
-        code = main(["eval", "--run", str(run)])
-        assert code == EXIT_LOAD
-        assert str(run / "model.bin") in capsys.readouterr().err
+        _exits(capsys, ["eval", "--run", str(run)], EXIT_USAGE,
+               f"cannot read manifest {run / 'manifest.json'}")
 
     def test_out_in_missing_directory_is_usage_error(self, trained_run, tmp_path,
                                                      capsys):
         out = str(tmp_path / "absent" / "eval.json")
-        code = main(["eval", "--run", trained_run, "--out", out])
-        assert code == EXIT_USAGE
-        assert out in capsys.readouterr().err
+        _exits(capsys, ["eval", "--run", trained_run, "--out", out], EXIT_USAGE,
+               f"cannot write {out}", out)
 
-    def test_dimension_mismatch_is_load_error(self, trained_run, tmp_path, capsys):
-        # model.bin replaced by the model of a 100-node graph.
-        run = _copy_run(trained_run, tmp_path)
-        DignnParams.init(100, 8, DignnConfig(), seed=0).save(str(run / "model.bin"))
-        code = main(["eval", "--run", str(run)])
-        assert code == EXIT_LOAD
-        assert "do not match" in capsys.readouterr().err
+    @pytest.mark.parametrize("row", _rows("model.bin size"))
+    def test_size_other_than_header_implies_is_load_error(self, fails, row):
+        fails(*row)
 
-    def test_truncated_model_is_load_error(self, trained_run, tmp_path, capsys):
-        run = _copy_run(trained_run, tmp_path)
-        (run / "model.bin").write_bytes(bytes(_model_bytes(trained_run)[:20]))
-        code = main(["eval", "--run", str(run)])
-        assert code == EXIT_LOAD
-        assert "truncated" in capsys.readouterr().err
+    @pytest.mark.parametrize("row", _rows("model.bin header"))
+    def test_header_other_than_save_writes_is_load_error(self, fails, row):
+        fails(*row)
 
-    @pytest.mark.parametrize("case, message", [("huge_header", "truncated"),
-                                               ("trailing_bytes", "trailing bytes")])
-    def test_size_other_than_header_implies_is_load_error(self, trained_run, tmp_path,
-                                                          capsys, case, message):
-        run = _copy_run(trained_run, tmp_path)
-        blob = _model_bytes(trained_run)
-        if case == "huge_header":  # n and enc_a_w1's rows claim 2**31 nodes
-            blob[10:14] = blob[43:47] = struct.pack("<I", 2 ** 31)
-        else:
-            blob += bytes(8)
-        (run / "model.bin").write_bytes(bytes(blob))
-        code = main(["eval", "--run", str(run)])
-        assert code == EXIT_LOAD
-        assert message in capsys.readouterr().err
-
-    def test_non_utf8_tensor_name_is_load_error(self, trained_run, tmp_path, capsys):
-        run = _copy_run(trained_run, tmp_path)
-        blob = _model_bytes(trained_run)
-        blob[blob.index(b"enc_a_w1")] = 0xFF
-        (run / "model.bin").write_bytes(bytes(blob))
-        code = main(["eval", "--run", str(run)])
-        assert code == EXIT_LOAD
-        assert "'enc_a_w1'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("case, message", [("version", "version 2"),
-                                               ("tensor_count", "20 tensors"),
-                                               ("renamed", "'att_q'")])
-    def test_header_other_than_save_writes_is_load_error(self, trained_run, tmp_path,
-                                                         capsys, case, message):
-        run = _copy_run(trained_run, tmp_path)
-        blob = _model_bytes(trained_run)
-        if case == "version":
-            blob[6:10] = struct.pack("<I", 2)
-        elif case == "tensor_count":
-            blob[26:30] = struct.pack("<I", 20)
-        else:
-            at = blob.index(b"att_q")
-            blob[at:at + 5] = b"att_z"
-        (run / "model.bin").write_bytes(bytes(blob))
-        code = main(["eval", "--run", str(run)])
-        assert code == EXIT_LOAD
-        assert message in capsys.readouterr().err
-
-    def test_flag_byte_other_than_one_is_load_error(self, trained_run, tmp_path,
-                                                    capsys):
-        run = _copy_run(trained_run, tmp_path)
-        blob = _model_bytes(trained_run)
-        assert blob[30] == 1  # after the 6-byte magic and six uint32 fields
-        blob[30] = 0
-        (run / "model.bin").write_bytes(bytes(blob))
-        code = main(["eval", "--run", str(run)])
-        assert code == EXIT_LOAD
-        assert "flag" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("case", ["other_runs_model", "no_recorded_hash"])
-    def test_unverified_model_is_load_error(self, trained_run, ratio_run, tmp_path,
-                                            capsys, case):
-        run = _copy_run(trained_run, tmp_path)
-        if case == "other_runs_model":
-            # Same graph, so the dimensions fit; only the recorded hash tells.
-            shutil.copy(os.path.join(ratio_run, "model.bin"), run / "model.bin")
-        else:
-            manifest = json.loads((run / "manifest.json").read_text())
-            del manifest["output_hashes"]
-            (run / "manifest.json").write_text(json.dumps(manifest))
-        code = main(["eval", "--run", str(run)])
-        assert code == EXIT_LOAD
-        assert str(run / "model.bin") in capsys.readouterr().err
-
-    def test_wrong_tensor_shape_is_load_error(self, trained_run, tmp_path, capsys):
-        run = _copy_run(trained_run, tmp_path)
-        params = DignnParams.load(str(run / "model.bin"))
-        params.tensors["att_q"] = Var(np.zeros((5, 1)))
-        params.save(str(run / "model.bin"))
-        code = main(["eval", "--run", str(run)])
-        assert code == EXIT_LOAD
-        assert "att_q" in capsys.readouterr().err
+    @pytest.mark.parametrize("row", _rows("model.bin hash"))
+    def test_unverified_model_is_load_error(self, fails, row):
+        fails(*row)
 
 
 @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
@@ -693,18 +756,15 @@ class TestExportEmbeddings:
     def test_missing_model_is_load_error(self, trained_run, tmp_path, capsys):
         run = _copy_run(trained_run, tmp_path)
         os.remove(run / "model.bin")
-        out = tmp_path / "emb.csv"
-        code = main(["export-embeddings", "--run", str(run), "--out", str(out)])
-        assert code == EXIT_LOAD
-        assert str(run / "model.bin") in capsys.readouterr().err
+        _exits(capsys, ["export-embeddings", "--run", str(run), "--out",
+                        str(tmp_path / "emb.csv")], EXIT_LOAD, str(run / "model.bin"))
         assert os.listdir(tmp_path) == ["run"]
 
     def test_out_in_missing_directory_is_usage_error(self, trained_run, tmp_path,
                                                      capsys):
         out = str(tmp_path / "absent" / "emb.csv")
-        code = main(["export-embeddings", "--run", trained_run, "--out", out])
-        assert code == EXIT_USAGE
-        assert out in capsys.readouterr().err
+        _exits(capsys, ["export-embeddings", "--run", trained_run, "--out", out],
+               EXIT_USAGE, f"cannot write {out}", out)
 
 
 class TestConfigHandling:
@@ -745,6 +805,12 @@ class TestConfigHandling:
             text = fh.read()
         missing = [k for k in CONFIG_KEYS if f"`{k}`" not in text]
         assert not missing
+
+    def test_readme_lists_every_exit_code(self):
+        with open(README) as fh:
+            text = fh.read()
+        for cls, (code, prefix) in cli.FAILURE_EXITS.items():
+            assert f"| `{code}` | `{cls.__name__}` | `{prefix}` |" in text, cls
 
     def test_readme_lists_every_synth_flag(self):
         with open(README) as fh:
