@@ -3,8 +3,8 @@
 Every value is a 2-D numpy array (scalars are 1x1). The graph is rebuilt on
 every forward pass (define-by-run): each op returns a new Var that remembers
 its parents and a closure that pushes the incoming gradient back to them.
-Sparse matrices (scipy CSR) only ever appear as constants, the left operand
-of ``sparse_dense_matmul`` or the target of ``sparse_target_mse``.
+Sparse matrices (scipy CSR) only ever appear as constants: the input ``x``
+of ``dense`` or the target of ``sparse_target_mse``.
 """
 
 from __future__ import annotations
@@ -158,45 +158,60 @@ def matmul(a: Var, b: Var) -> Var:
     return out
 
 
-def sparse_dense_matmul(s: sp.csr_matrix, b: Var) -> Var:
-    """s @ b with s a constant CSR matrix; gradient flows to b only."""
-    if s.shape[1] != b.value.shape[0]:
-        raise DimensionError(f"sparse_dense_matmul: shape {s.shape} vs {b.value.shape}")
-    out = Var(np.asarray(s @ b.value), parents=(b,))
+# The activations ``dense`` applies: each one's forward, which overwrites its
+# argument z with act(z), and its local derivative, formed from the output y.
+# Only a backward pass forms the derivative, so a forward that is never
+# differentiated (scoring) does not, and the tape holds no array for it.
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda y: (y > 0.0).astype(np.float64)),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda y: 1.0 - y * y),
+}
+
+
+def dense(x, w: Var, b: Var, act: str | None = None) -> Var:
+    """act(x @ w + b) as one tape node, for a (1, cols) bias row b and an
+    ``ACTIVATIONS`` name or None (no activation). ``x`` is a Var or a
+    constant CSR matrix; a CSR ``x`` gets no grad and is not a parent.
+
+    The bias is added and ``act`` applied in place on the product, so the
+    node holds one (rows, cols) array. Its backward takes the steps of the
+    matmul, add and activation chain it replaces, in that chain's order:
+    g * act'(y), then the grads of b, x and w."""
+    sparse = sp.issparse(x)
+    xv = x if sparse else x.value
+    if xv.shape[1] != w.value.shape[0] or b.value.shape != (1, w.value.shape[1]):
+        raise DimensionError(f"dense: x {xv.shape}, w {w.value.shape}, b {b.value.shape}")
+    forward, derivative = ACTIVATIONS[act] if act is not None else (None, None)
+    y = np.asarray(xv @ w.value)
+    y += b.value
+    if forward is not None:
+        forward(y)
+    out = Var(y, parents=(w, b) if sparse else (x, w, b))
 
     def bwd(g):
-        _accumulate(b, np.asarray(s.T @ g))
+        if derivative is not None:
+            g = g * derivative(y)
+        d = _unbroadcast(g, b.value.shape)
+        _accumulate(b, d, shared=d is g)
+        if not sparse:
+            _accumulate(x, g @ w.value.T)
+        _accumulate(w, np.asarray(xv.T @ g))
 
     out._backward = bwd
     return out
-
-
-def _unary(v: Var, y: np.ndarray, dy) -> Var:
-    """Elementwise op with value y; ``dy(x, y)`` gives its local derivative
-    from the input and output values. It is called only by a backward pass,
-    so a forward that is never differentiated (scoring) does not form it and
-    the tape holds no array for it."""
-    out = Var(y, parents=(v,))
-
-    def bwd(g):
-        _accumulate(v, g * dy(v.value, y))
-
-    out._backward = bwd
-    return out
-
-
-def tanh(v: Var) -> Var:
-    return _unary(v, np.tanh(v.value), lambda x, y: 1.0 - y * y)
-
-
-def relu(v: Var) -> Var:
-    return _unary(v, np.maximum(v.value, 0.0),
-                  lambda x, y: (x > 0.0).astype(np.float64))
 
 
 def sigmoid(v: Var) -> Var:
+    """Elementwise logistic function; like the ``ACTIVATIONS``, its local
+    derivative y(1 - y) is formed only by a backward pass."""
     y = 0.5 * (1.0 + np.tanh(0.5 * v.value))
-    return _unary(v, y, lambda x, y: y * (1.0 - y))
+    out = Var(y, parents=(v,))
+
+    def bwd(g):
+        _accumulate(v, g * (y * (1.0 - y)))
+
+    out._backward = bwd
+    return out
 
 
 def sum_all(v: Var) -> Var:

@@ -152,6 +152,18 @@ def build_train_config(cfg: dict) -> TrainConfig:
     return tcfg
 
 
+def _check_memory(graph, mcfg: DignnConfig):
+    """Refuse a model whose parameters and Adam's two moments alone would
+    exceed physical memory, before anything of that size is allocated."""
+    need = 3 * DignnParams.nbytes(graph.num_nodes, graph.feature_dim, mcfg)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise UsageError(
+            f"hidden_dim = {mcfg.hidden_dim} and embed_dim = {mcfg.embed_dim} on "
+            f"{graph.num_nodes} nodes need {need} bytes for the parameters and "
+            f"Adam's two moments, more than the {have} bytes of physical memory")
+
+
 def variant_tag(cfg: dict) -> str:
     tag = "DIGNN"
     if cfg["mode"] == "fullbatch":
@@ -262,6 +274,7 @@ def cmd_train(args) -> int:
         data_dir = args.data
     tcfg = build_train_config(cfg)
     hashes, graph, split = _load_data(data_dir, cfg, recorded)
+    _check_memory(graph, tcfg.model)
 
     with _output(args.out):
         os.makedirs(args.out, exist_ok=True)

@@ -23,6 +23,7 @@ MODEL_MAGIC = b"DIGNN\x00"
 MODEL_VERSION = 1
 MODEL_FLAG = 1  # header byte kept so that saved models stay readable; always 1
 MODEL_HEADER = struct.Struct("<6s6IB")  # magic, version, N, D, d, h, tensors, flag
+DIM_LIMIT = 2 ** 32  # the header stores each size as a uint32
 GLOROT_CHUNK = 16_384  # 128 KB of float64
 
 
@@ -38,8 +39,10 @@ class DignnConfig:
 
     def validate(self):
         require_finite_floats(self)
-        if self.embed_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("embed_dim and hidden_dim must be >= 1")
+        for name in ("embed_dim", "hidden_dim"):
+            if not 1 <= getattr(self, name) < DIM_LIMIT:
+                raise ValueError(f"{name} = {getattr(self, name)} must be >= 1 and "
+                                 f"< 2**32 (model.bin stores it as a uint32)")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
         if self.sigma_enc <= 0 or self.prior_std <= 0:
@@ -84,6 +87,12 @@ class DignnParams:
             ("dec_x_w1", (d, h)), ("dec_x_b1", (1, h)),
             ("dec_x_w2", (h, feat_dim)), ("dec_x_b2", (1, feat_dim)),
         ]
+
+    @classmethod
+    def nbytes(cls, n_nodes: int, feat_dim: int, cfg: DignnConfig) -> int:
+        """Bytes of the float64 tensors of ``shape_spec``, computed without
+        allocating them."""
+        return sum(8 * r * c for _, (r, c) in cls.shape_spec(n_nodes, feat_dim, cfg))
 
     @classmethod
     def empty_tensors(cls, n_nodes: int, feat_dim: int,
@@ -215,9 +224,9 @@ def glorot(rng, shape, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
-    hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
-    return ad.add(ad.matmul(hidden, w2), b2)
+def mlp2(x, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+    """relu(x W1 + b1) W2 + b2 for a Var or constant CSR ``x``."""
+    return ad.dense(ad.dense(x, w1, b1, "relu"), w2, b2)
 
 
 def encode_views(params: DignnParams, batch: BatchSubgraph) -> tuple[Var, Var]:
@@ -230,11 +239,8 @@ def encode_views(params: DignnParams, batch: BatchSubgraph) -> tuple[Var, Var]:
         raise DimensionError(
             f"feature width {batch.features.shape[1]} vs model {params.feat_dim}"
         )
-    h_a = ad.relu(ad.add(
-        ad.sparse_dense_matmul(batch.topo_rows, params["enc_a_w1"]),
-        params["enc_a_b1"],
-    ))
-    z_a = ad.add(ad.matmul(h_a, params["enc_a_w2"]), params["enc_a_b2"])
+    z_a = mlp2(batch.topo_rows, params["enc_a_w1"], params["enc_a_b1"],
+               params["enc_a_w2"], params["enc_a_b2"])
     z_x = mlp2(ad.constant(batch.features), params["enc_x_w1"],
                params["enc_x_b1"], params["enc_x_w2"], params["enc_x_b2"])
     return z_a, z_x
@@ -246,7 +252,7 @@ def reparameterize(mu: Var, sigma: float, eps: np.ndarray) -> Var:
 
 
 def _attention_score(z: Var, w: Var, b: Var, q: Var) -> Var:
-    return ad.matmul(ad.tanh(ad.add(ad.matmul(z, w), b)), q)
+    return ad.matmul(ad.dense(z, w, b, "tanh"), q)
 
 
 def attention_fuse(params: DignnParams, z_a: Var, z_x: Var):
@@ -262,7 +268,7 @@ def attention_fuse(params: DignnParams, z_a: Var, z_x: Var):
 
 
 def classify(params: DignnParams, z: Var) -> Var:
-    return ad.add(ad.matmul(z, params["clf_w"]), params["clf_b"])
+    return ad.dense(z, params["clf_w"], params["clf_b"])
 
 
 def forward(params: DignnParams, batch: BatchSubgraph, cfg: DignnConfig,
@@ -285,8 +291,7 @@ def rec_loss(batch: BatchSubgraph, params: DignnParams, out: ForwardOut) -> Var:
     """Decoder mean-squared errors of the sampled embeddings against the
     two original views. The topology decoder's output layer is folded into
     the loss, so its (b, N) reconstruction is never formed."""
-    h_a = ad.relu(ad.add(ad.matmul(out.z_A_s, params["dec_a_w1"]),
-                         params["dec_a_b1"]))
+    h_a = ad.dense(out.z_A_s, params["dec_a_w1"], params["dec_a_b1"], "relu")
     topo = ad.sparse_target_mse(h_a, params["dec_a_w2"], params["dec_a_b2"],
                                 batch.topo_rows)
     x_hat = mlp2(out.z_X_s, params["dec_x_w1"], params["dec_x_b1"],

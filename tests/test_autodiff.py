@@ -53,50 +53,84 @@ class TestMatmul:
             ad.matmul(ad.Var(np.ones((2, 2))), ad.Var(np.ones((3, 1))))
 
 
-class TestSparseDenseMatmul:
-    def test_empty_row_gives_zero_row(self):
-        s = sp.csr_matrix((1, 3))
-        out = ad.sparse_dense_matmul(s, ad.Var(np.ones((3, 2))))
-        assert np.array_equal(out.value, np.zeros((1, 2)))
+def _csr_x():
+    """A constant CSR input with an empty row. Its entries are powers of two,
+    each column holds one and each row at most two, so its products with any
+    w are exact and equal the densified products bit for bit."""
+    return sp.csr_matrix(np.array([
+        [1.0, 0.0, 0.0, -0.5, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, -2.0, 0.25, 0.0],
+    ]))
 
-    def test_sparse_identity(self):
-        s = sp.identity(4, format="csr")
-        b = np.arange(8.0).reshape(4, 2)
-        out = ad.sparse_dense_matmul(s, ad.Var(b))
-        assert np.array_equal(out.value, b)
 
-    def test_matches_densified_matmul(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            s = sp.random(5, 7, density=0.3, random_state=rng, format="csr")
-            b = ad.Var(rng.standard_normal((7, 3)))
-            out = ad.sparse_dense_matmul(s, b)
-            assert np.max(np.abs(out.value - s.toarray() @ b.value)) <= 1e-12
+def _unfused(x, w, b, act, g):
+    """The value, and the grads of x, w and b for upstream grad g, that the
+    matmul, add and activation ops ``dense`` replaces computed."""
+    z = x @ w + b
+    y = {None: z, "relu": np.maximum(z, 0.0), "tanh": np.tanh(z)}[act]
+    dz = {None: g, "relu": g * (z > 0.0).astype(np.float64),
+          "tanh": g * (1.0 - y * y)}[act]
+    return y, dz @ w.T, x.T @ dz, dz.sum(axis=0, keepdims=True)
 
-    def test_gradient_flows_to_dense_only(self):
-        s = sp.random(4, 5, density=0.5, random_state=1, format="csr")
-        b = ad.Var(np.random.default_rng(1).standard_normal((5, 2)))
-        loss = ad.sum_all(ad.sparse_dense_matmul(s, b))
-        ad.backward(loss)
-        fd = fd_grad(lambda: float((s @ b.value).sum()), b.value)
-        assert rel_err(fd, b.grad) <= 1e-4
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            ad.sparse_dense_matmul(sp.csr_matrix((2, 3)), ad.Var(np.ones((4, 1))))
+def _identity_dense(cols, act):
+    """``act`` through ``dense`` with an identity weight and a zero bias,
+    which leave each value of the product as it was."""
+    w, b = ad.Var(np.eye(cols)), ad.Var(np.zeros((1, cols)))
+    return lambda x: ad.dense(x, w, b, act)
+
+
+class TestDense:
+    @pytest.mark.parametrize("kind", ["var", "csr"])
+    @pytest.mark.parametrize("act", [None, "relu", "tanh"], ids=["none", "relu", "tanh"])
+    def test_matches_unfused_chain(self, act, kind):
+        rng = np.random.default_rng(4)
+        x = _csr_x() if kind == "csr" else ad.Var(rng.standard_normal((5, 7)))
+        w, b = ad.Var(rng.standard_normal((7, 3))), ad.Var(rng.standard_normal((1, 3)))
+        g = rng.standard_normal((5, 3))  # an upstream grad other than ones
+        dense_x = x.toarray() if kind == "csr" else x.value
+        assert np.abs(dense_x @ w.value + b.value).min() > 1e-3  # relu's kink is far
+        y = ad.dense(x, w, b, act)
+        ad.backward(ad.sum_all(ad.mul(y, ad.Var(g))))
+        want = _unfused(dense_x, w.value, b.value, act, g)
+        assert np.array_equal(y.value, want[0])
+        assert np.array_equal(w.grad, want[2]) and np.array_equal(b.grad, want[3])
+        if kind == "csr":
+            assert y.parents == (w, b)  # the constant gets no grad
+        else:
+            assert np.array_equal(x.grad, want[1])
+
+        def loss():
+            return float((ad.dense(x, w, b, act).value * g).sum())
+        for var in y.parents:
+            assert rel_err(fd_grad(loss, var.value), var.grad) <= 1e-4
+
+    @pytest.mark.parametrize("x, w, b", [
+        (np.ones((2, 3)), (4, 1), (1, 1)),          # x width vs w rows
+        (sp.csr_matrix((2, 3)), (4, 1), (1, 1)),    # the same, CSR x
+        (np.ones((2, 3)), (3, 2), (1, 3)),          # bias width
+        (np.ones((2, 3)), (3, 2), (2, 2)),          # bias rows
+    ], ids=["x_width", "csr_x_width", "bias_width", "bias_rows"])
+    def test_shape_mismatch(self, x, w, b):
+        x = x if sp.issparse(x) else ad.Var(x)
+        with pytest.raises(DimensionError, match="dense"):
+            ad.dense(x, ad.Var(np.ones(w)), ad.Var(np.ones(b)))
 
 
 class TestElementwise:
     def test_tanh_at_zero(self):
         x = ad.Var([[0.0]])
-        y = ad.tanh(x)
+        y = _identity_dense(1, "tanh")(x)
         ad.backward(ad.sum_all(y))
         assert y.value[0, 0] == 0.0
         assert x.grad[0, 0] == 1.0
 
     def test_relu_negative(self):
         x = ad.Var([[-2.5]])
-        y = ad.relu(x)
+        y = _identity_dense(1, "relu")(x)
         ad.backward(ad.sum_all(y))
         assert y.value[0, 0] == 0.0
         assert x.grad[0, 0] == 0.0
@@ -109,14 +143,11 @@ class TestElementwise:
         assert x.grad[0, 0] == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize("op, value", [
-        (ad.tanh, np.tanh),
-        (ad.relu, lambda x: np.maximum(x, 0.0)),
         (ad.sigmoid, lambda x: 1.0 / (1.0 + np.exp(-x))),
-    ], ids=["tanh", "relu", "sigmoid"])
+    ], ids=["sigmoid"])
     def test_value_and_grad_match_numpy(self, op, value):
         rng = np.random.default_rng(2)
         x_val = rng.uniform(-3.0, 3.0, size=(4, 3))
-        x_val[np.abs(x_val) < 1e-3] = 0.5  # keep relu's kink out of the FD stencil
         w = rng.standard_normal((4, 3))
         x = ad.Var(x_val)
         y = op(x)
@@ -125,17 +156,20 @@ class TestElementwise:
         fd = fd_grad(lambda: float((op(ad.Var(x_val)).value * w).sum()), x_val)
         assert rel_err(fd, x.grad) <= 1e-4
 
-    @pytest.mark.parametrize("op, local", [
-        (ad.tanh, lambda x, y: 1.0 - y * y),
-        (ad.relu, lambda x, y: (x > 0.0).astype(np.float64)),
-        (ad.sigmoid, lambda x, y: y * (1.0 - y)),
+    @pytest.mark.parametrize("act, local", [
+        ("tanh", lambda x, y: 1.0 - y * y),
+        ("relu", lambda x, y: (x > 0.0).astype(np.float64)),
+        ("sigmoid", lambda x, y: y * (1.0 - y)),
     ], ids=["tanh", "relu", "sigmoid"])
-    def test_forward_keeps_only_its_value(self, op, local):
+    def test_forward_keeps_only_its_value(self, act, local):
         # The local derivative is formed by the backward pass, so a forward
         # (a scoring pass, or a tape before backward) holds only the output;
         # the grad is the upstream grad times that derivative, bit for bit.
+        # tanh and relu run through dense, whose identity weight and zero
+        # bias keep x's values, and which adds and activates in place.
         rng = np.random.default_rng(3)
         x = ad.Var(rng.uniform(-3.0, 3.0, size=(500, 100)))
+        op = ad.sigmoid if act == "sigmoid" else _identity_dense(100, act)
         tracemalloc.start()
         try:
             y = op(x)
@@ -433,7 +467,7 @@ def test_compact_columns_matches_unique(kind):
 class TestBackward:
     def test_tanh_at_zero_grad_ones(self):
         x = ad.Var(np.zeros((3, 2)))
-        ad.backward(ad.sum_all(ad.tanh(x)))
+        ad.backward(ad.sum_all(_identity_dense(2, "tanh")(x)))
         assert np.array_equal(x.grad, np.ones((3, 2)))
 
     def test_unused_parameter_gets_zero_grad(self):
@@ -459,7 +493,7 @@ class TestBackward:
         def build(a_v, b_v):
             a, b = ad.Var(a_v), ad.Var(b_v)
             s = ad.add(a, b)
-            return ad.sum_all(ad.add(ad.tanh(s), ad.square(a))), a, b, s
+            return ad.sum_all(ad.add(ad.sigmoid(s), ad.square(a))), a, b, s
 
         loss, a, b, s = build(a_val, b_val)
         ad.backward(loss)
@@ -471,9 +505,9 @@ class TestBackward:
 
     def test_accumulation_without_zeroing(self):
         x = ad.Var(np.zeros((2, 2)))
-        ad.backward(ad.sum_all(ad.tanh(x)))
+        ad.backward(ad.sum_all(ad.sigmoid(x)))
         first = x.grad.copy()
-        ad.backward(ad.sum_all(ad.tanh(x)))
+        ad.backward(ad.sum_all(ad.sigmoid(x)))
         assert np.array_equal(x.grad, 2 * first)
 
     def test_rejects_non_scalar(self):
@@ -485,7 +519,7 @@ class TestBackward:
             rng = np.random.default_rng(11)
             x = ad.Var(rng.standard_normal((4, 3)))
             w = ad.Var(rng.standard_normal((3, 2)))
-            return ad.ce_with_logits(ad.matmul(ad.tanh(x), w), [0, 1, 0, 1]).value[0, 0]
+            return ad.ce_with_logits(ad.matmul(ad.sigmoid(x), w), [0, 1, 0, 1]).value[0, 0]
 
         assert run() == run()
 
@@ -501,10 +535,8 @@ def test_all_ops_match_finite_differences(seed):
     def build(a_val, b_val):
         a = ad.Var(a_val)
         b = ad.Var(b_val)
-        h = ad.matmul(a, b)                       # (n, m)
-        h = ad.add(h, ad.Var(rng_bias))
-        h = ad.tanh(h)
-        h = ad.add(h, ad.relu(ad.sparse_dense_matmul(s, b)))
+        h = ad.dense(a, b, ad.Var(rng_bias), "tanh")     # (n, m)
+        h = ad.add(h, ad.dense(s, b, ad.Var(rng_bias), "relu"))
         sg = ad.sigmoid(h)
         one_minus = ad.add_const(ad.scale(sg, -1.0), 1.0)
         ce = ad.ce_with_logits(ad.matmul(ad.mul(sg, one_minus), ad.Var(proj)), labels)

@@ -216,6 +216,12 @@ FAILURES = {
         ("empty_value", _write(b"epochs =\n"), "cfg.txt:1: bad value for epochs: ''"),
         ("wrong_type", _write(b"# n\nbatch_size = 1e3\n"),
          "cfg.txt:2: bad value for batch_size: '1e3'"),
+        # model.bin stores each dimension as a uint32
+        ("hidden_dim_past_uint32", _write(b"hidden_dim = 1000000000000\n"),
+         "hidden_dim = 1000000000000 must be >= 1 and < 2**32"),
+        # 200 x 2**31 float64 encoder weights alone are 3.4 TB
+        ("hidden_dim_past_memory", _write(b"hidden_dim = 2147483648\n"),
+         "hidden_dim = 2147483648 and embed_dim = 32 on 200 nodes need"),
     ]),
     "manifest": ("manifest", "manifest.json", EXIT_USAGE, [
         ("missing_file", os.remove, "cannot read manifest"),

@@ -148,7 +148,7 @@ class TestParams:
             _, load_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        total = sum(8 * r * c for _, (r, c) in DignnParams.shape_spec(20_000, 8, cfg))
+        total = DignnParams.nbytes(20_000, 8, cfg)
         assert init_peak <= 1.1 * total
         assert load_peak - base <= 1.1 * total
 
@@ -165,6 +165,9 @@ class TestParams:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DignnConfig(embed_dim=0).validate()
+        with pytest.raises(ValueError, match="embed_dim = 4294967296"):
+            DignnConfig(embed_dim=2 ** 32).validate()
+        DignnConfig(hidden_dim=2 ** 32 - 1).validate()  # checked, not allocated
         with pytest.raises(ValueError):
             DignnConfig(alpha=-0.1).validate()
         with pytest.raises(ValueError):

@@ -258,6 +258,14 @@ def _reachable(loss):
     return list(seen.values())
 
 
+# One tape node per dense layer (two per view encoder, one per attention
+# score, the classifier, and under full the decoders' three), so a layer
+# built from separate product, bias and activation nodes would show.
+@pytest.mark.parametrize("ablation, nodes", [("full", 66), ("no_mi", 34)])
+def test_tape_size(ablation, nodes):
+    assert len(_reachable(_toy_loss(ablation)[2])) == nodes
+
+
 class TestOptimizerTensors:
     @pytest.mark.parametrize("ablation", ABLATIONS)
     def test_optimizer_holds_exactly_the_tensors_the_loss_reads(self, ablation):
