@@ -3,8 +3,10 @@
 Every value is a 2-D numpy array (scalars are 1x1). The graph is rebuilt on
 every forward pass (define-by-run): each op returns a new Var that remembers
 its parents and a closure that pushes the incoming gradient back to them.
-Sparse matrices (scipy CSR) only ever appear as constants: the input ``x``
-of ``dense`` or the target of ``sparse_target_mse``.
+Data never enters the tape: it reaches an op only as a plain array (a
+float64 ndarray or a scipy CSR matrix), which gets no grad and is no
+parent. That is ``dense``'s ``x``, the targets of ``mse`` and
+``sparse_target_mse``, ``add_const``'s ``c`` and ``ce_with_logits``' labels.
 """
 
 from __future__ import annotations
@@ -47,12 +49,6 @@ class Var:
 
     def __repr__(self):
         return f"Var(shape={self.value.shape}, leaf={not self.parents})"
-
-
-def constant(x) -> Var:
-    """A leaf Var. Like every Var an op reads, it receives a grad during
-    ``backward`` (allocated by the first write), which nothing reads."""
-    return Var(x)
 
 
 def _accumulate(v: Var, d: np.ndarray, shared: bool = False) -> None:
@@ -170,15 +166,16 @@ ACTIVATIONS = {
 
 def dense(x, w: Var, b: Var, act: str | None = None) -> Var:
     """act(x @ w + b) as one tape node, for a (1, cols) bias row b and an
-    ``ACTIVATIONS`` name or None (no activation). ``x`` is a Var or a
-    constant CSR matrix; a CSR ``x`` gets no grad and is not a parent.
+    ``ACTIVATIONS`` name or None (no activation). ``x`` is a Var or plain
+    data (a float64 ndarray or a CSR matrix); data gets no grad and is not
+    a parent.
 
     The bias is added and ``act`` applied in place on the product, so the
     node holds one (rows, cols) array. Its backward takes the steps of the
     matmul, add and activation chain it replaces, in that chain's order:
     g * act'(y), then the grads of b, x and w."""
-    sparse = sp.issparse(x)
-    xv = x if sparse else x.value
+    data = not isinstance(x, Var)
+    xv = x if data else x.value
     if xv.shape[1] != w.value.shape[0] or b.value.shape != (1, w.value.shape[1]):
         raise DimensionError(f"dense: x {xv.shape}, w {w.value.shape}, b {b.value.shape}")
     forward, derivative = ACTIVATIONS[act] if act is not None else (None, None)
@@ -186,14 +183,14 @@ def dense(x, w: Var, b: Var, act: str | None = None) -> Var:
     y += b.value
     if forward is not None:
         forward(y)
-    out = Var(y, parents=(w, b) if sparse else (x, w, b))
+    out = Var(y, parents=(w, b) if data else (x, w, b))
 
     def bwd(g):
         if derivative is not None:
             g = g * derivative(y)
         d = _unbroadcast(g, b.value.shape)
         _accumulate(b, d, shared=d is g)
-        if not sparse:
+        if not data:
             _accumulate(x, g @ w.value.T)
         _accumulate(w, np.asarray(xv.T @ g))
 

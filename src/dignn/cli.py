@@ -108,7 +108,7 @@ def read_manifest(path: str) -> tuple[dict, str, dict, dict]:
     none are recorded) of a manifest; the config has exactly the keys of
     ``CONFIG_KEYS``, each holding a value of its type."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read manifest {path}: {exc}") from exc
@@ -215,11 +215,12 @@ def _load_data(data_dir: str, cfg: dict, recorded: dict):
     them, and its graph split and normalized as ``cfg`` says, with the split."""
     if not os.path.isdir(data_dir):
         raise GraphLoadError(f"not a directory: {data_dir}")
-    hashes = {}
-    for name in sorted(os.listdir(data_dir)):
-        fp = os.path.join(data_dir, name)
+    hashes = {}  # keyed by each file name's UTF-8 decoding, as load_graph names them
+    root = os.fsencode(data_dir)
+    for raw in sorted(os.listdir(root)):
+        fp = os.path.join(root, raw)
         if os.path.isfile(fp):
-            hashes[name] = _sha256(fp)
+            hashes[raw.decode(errors="surrogateescape")] = _sha256(fp)
     for name in sorted(recorded):
         if hashes.get(name) != recorded[name]:
             raise GraphLoadError(f"{name} in {data_dir} is missing or differs "
@@ -365,9 +366,8 @@ def cmd_export_embeddings(args) -> int:
             for ids in make_batches(graph.labeled_ids(), SCORE_BLOCK):
                 batch = gather_batch(graph, ids)
                 z = M.forward(params, batch, params.cfg).z.value
-                for nid, lab, row in zip(ids, batch.labels, z):
-                    fh.write(f"{nid},{lab}," +
-                             ",".join(repr(float(x)) for x in row) + "\n")
+                for nid, lab, row in zip(ids, batch.labels, z.tolist()):
+                    fh.write(f"{nid},{lab}," + ",".join(map(repr, row)) + "\n")
 
     _write_atomic(args.out, write)
     return EXIT_OK

@@ -141,7 +141,7 @@ def load_graph(path: str) -> FraudGraph:
     if not os.path.isfile(meta_path):
         raise GraphLoadError(f"missing file: {meta_path}")
     try:
-        with open(meta_path) as fh:
+        with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
         n, d, rel_names = meta["num_nodes"], meta["feature_dim"], meta["relations"]
         # ``type(...) is int`` also rejects a bool, which is an int subclass.
@@ -150,6 +150,8 @@ def load_graph(path: str) -> FraudGraph:
                              "integers >= 0")
         if not (isinstance(rel_names, list) and all(isinstance(r, str) for r in rel_names)):
             raise ValueError(f"relations {rel_names!r} must be a list of names")
+        # An edge file's name is its relation's UTF-8 under any locale, as meta.json is.
+        edge_files = {r: os.fsdecode(f"edges_{r}.u32le".encode()) for r in rel_names}
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or value
         raise GraphLoadError(f"bad meta.json in {path}: {exc}") from exc
 
@@ -163,8 +165,8 @@ def load_graph(path: str) -> FraudGraph:
         raise GraphLoadError("labels must lie in {-1, 0, 1}")
 
     relations = {}
-    for name in rel_names:
-        epath = os.path.join(path, f"edges_{name}.u32le")
+    for name, fname in edge_files.items():
+        epath = os.path.join(path, fname)
         raw = _read_exact(epath, "<u4", None, "edges")
         if raw.size % 2:
             raise GraphLoadError(f"odd number of endpoints in {epath}")
@@ -197,8 +199,7 @@ def save_graph(g: FraudGraph, path: str):
     g.labels.astype(np.int8).tofile(os.path.join(path, "labels.i8"))
     for name in sorted(g.relations):
         g.relations[name].astype("<u4").tofile(
-            os.path.join(path, f"edges_{name}.u32le")
-        )
+            os.path.join(path, os.fsdecode(f"edges_{name}.u32le".encode())))
 
 
 def stratified_split(g: FraudGraph, ratios, seed) -> SplitIndex:

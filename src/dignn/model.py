@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import DimensionError, GraphLoadError
+from .errors import GraphLoadError
 from .graphdata import BatchSubgraph, require_finite_floats
 from .rng import generator
 
@@ -225,23 +225,17 @@ def glorot(rng, shape, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def mlp2(x, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
-    """relu(x W1 + b1) W2 + b2 for a Var or constant CSR ``x``."""
+    """relu(x W1 + b1) W2 + b2 for ``x`` a Var or plain data (a float64
+    ndarray or a CSR matrix), which ``ad.dense`` reads as data."""
     return ad.dense(ad.dense(x, w1, b1, "relu"), w2, b2)
 
 
 def encode_views(params: DignnParams, batch: BatchSubgraph) -> tuple[Var, Var]:
-    """Topology rows and attribute rows through their 2-layer MLP encoders."""
-    if batch.topo_rows.shape[1] != params.n_nodes:
-        raise DimensionError(
-            f"topology width {batch.topo_rows.shape[1]} vs model {params.n_nodes}"
-        )
-    if batch.features.shape[1] != params.feat_dim:
-        raise DimensionError(
-            f"feature width {batch.features.shape[1]} vs model {params.feat_dim}"
-        )
+    """Topology rows and attribute rows, both data, through their 2-layer
+    MLP encoders."""
     z_a = mlp2(batch.topo_rows, params["enc_a_w1"], params["enc_a_b1"],
                params["enc_a_w2"], params["enc_a_b2"])
-    z_x = mlp2(ad.constant(batch.features), params["enc_x_w1"],
+    z_x = mlp2(batch.features, params["enc_x_w1"],
                params["enc_x_b1"], params["enc_x_w2"], params["enc_x_b2"])
     return z_a, z_x
 

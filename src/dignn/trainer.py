@@ -262,7 +262,7 @@ def train_smoothing_baseline(graph: FraudGraph, split: SplitIndex,
                   no_decay={"b1", "b2"})
 
     def logits_for(ids):
-        return M.mlp2(ad.constant(xs[ids]), w1, b1, w2, b2)
+        return M.mlp2(xs[ids], w1, b1, w2, b2)
 
     train_ids = np.asarray(split.train)
     for _ in range(cfg.epochs):

@@ -189,10 +189,10 @@ def test_criterion_7_determinism(tmp_path, capsys):
     manifest = os.path.join(first, "manifest.json")
     blobs = []
     for i in (1, 2):
-        out = str(tmp_path / f"run{i}")
-        assert main(["train", "--manifest", manifest, "--out", out]) == EXIT_OK
-        blobs.append((open(os.path.join(out, "model.bin"), "rb").read(),
-                      open(os.path.join(out, "metrics.json"), "rb").read()))
+        out = tmp_path / f"run{i}"
+        assert main(["train", "--manifest", manifest, "--out", str(out)]) == EXIT_OK
+        blobs.append(((out / "model.bin").read_bytes(),
+                      (out / "metrics.json").read_bytes()))
     capsys.readouterr()
     same = blobs[0] == blobs[1]
     assert report(7, "determinism", same)

@@ -54,7 +54,7 @@ class TestMatmul:
 
 
 def _csr_x():
-    """A constant CSR input with an empty row. Its entries are powers of two,
+    """A CSR input with an empty row. Its entries are powers of two,
     each column holds one and each row at most two, so its products with any
     w are exact and equal the densified products bit for bit."""
     return sp.csr_matrix(np.array([
@@ -84,24 +84,24 @@ def _identity_dense(cols, act):
 
 
 class TestDense:
-    @pytest.mark.parametrize("kind", ["var", "csr"])
+    @pytest.mark.parametrize("kind", ["var", "array", "csr"])
     @pytest.mark.parametrize("act", [None, "relu", "tanh"], ids=["none", "relu", "tanh"])
     def test_matches_unfused_chain(self, act, kind):
         rng = np.random.default_rng(4)
-        x = _csr_x() if kind == "csr" else ad.Var(rng.standard_normal((5, 7)))
+        dense_x = _csr_x().toarray() if kind == "csr" else rng.standard_normal((5, 7))
+        x = {"var": ad.Var(dense_x), "array": dense_x, "csr": _csr_x()}[kind]
         w, b = ad.Var(rng.standard_normal((7, 3))), ad.Var(rng.standard_normal((1, 3)))
         g = rng.standard_normal((5, 3))  # an upstream grad other than ones
-        dense_x = x.toarray() if kind == "csr" else x.value
         assert np.abs(dense_x @ w.value + b.value).min() > 1e-3  # relu's kink is far
         y = ad.dense(x, w, b, act)
         ad.backward(ad.sum_all(ad.mul(y, ad.Var(g))))
         want = _unfused(dense_x, w.value, b.value, act, g)
         assert np.array_equal(y.value, want[0])
         assert np.array_equal(w.grad, want[2]) and np.array_equal(b.grad, want[3])
-        if kind == "csr":
-            assert y.parents == (w, b)  # the constant gets no grad
-        else:
+        if kind == "var":
             assert np.array_equal(x.grad, want[1])
+        else:
+            assert y.parents == (w, b)  # data gets no grad
 
         def loss():
             return float((ad.dense(x, w, b, act).value * g).sum())
@@ -109,13 +109,13 @@ class TestDense:
             assert rel_err(fd_grad(loss, var.value), var.grad) <= 1e-4
 
     @pytest.mark.parametrize("x, w, b", [
-        (np.ones((2, 3)), (4, 1), (1, 1)),          # x width vs w rows
+        (ad.Var(np.ones((2, 3))), (4, 1), (1, 1)),  # x width vs w rows
+        (np.ones((2, 3)), (4, 1), (1, 1)),          # the same, ndarray x
         (sp.csr_matrix((2, 3)), (4, 1), (1, 1)),    # the same, CSR x
-        (np.ones((2, 3)), (3, 2), (1, 3)),          # bias width
-        (np.ones((2, 3)), (3, 2), (2, 2)),          # bias rows
-    ], ids=["x_width", "csr_x_width", "bias_width", "bias_rows"])
+        (ad.Var(np.ones((2, 3))), (3, 2), (1, 3)),  # bias width
+        (ad.Var(np.ones((2, 3))), (3, 2), (2, 2)),  # bias rows
+    ], ids=["x_width", "array_x_width", "csr_x_width", "bias_width", "bias_rows"])
     def test_shape_mismatch(self, x, w, b):
-        x = x if sp.issparse(x) else ad.Var(x)
         with pytest.raises(DimensionError, match="dense"):
             ad.dense(x, ad.Var(np.ones(w)), ad.Var(np.ones(b)))
 

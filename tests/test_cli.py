@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import asdict, fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +181,8 @@ FAILURES = {
         ("string", _meta('"200"'), "bad meta.json"),
         ("nan", _meta("NaN"), "bad meta.json"),
         ("relations_string", _meta(200, '"SYN"'), "bad meta.json"),
+        # a lone surrogate has no UTF-8, so it names no edge file
+        ("relation_surrogate", _meta(200, '["\\ud800"]'), "bad meta.json"),
         # refused by the features file's size, before anything is read
         ("past_the_data", _meta(2 ** 31),
          f"features: expected {2 ** 34} values in {{dir}}/features.f32le, found 1600"),
@@ -354,6 +357,33 @@ def test_failure_table(fails, row):
     fails(*row)
 
 
+def test_non_ascii_relation_runs_under_the_c_locale(tmp_path, capsys):
+    # Under the C locale with UTF-8 mode off, the locale's encoding is ASCII.
+    # meta.json and the manifest are read as UTF-8 whatever it is, and an
+    # edge file is named, and its input hash keyed, by its relation's UTF-8.
+    g = synth_generate(SynthConfig(num_nodes=50, feature_dim=3, seed=0))
+    save_graph(replace(g, relations={"é": g.relations["SYN"]}), str(tmp_path / "g"))
+
+    def unescape(path):  # the same JSON, with "é" as UTF-8 bytes, not "\\u00e9"
+        obj = json.loads(path.read_bytes())
+        path.write_bytes(json.dumps(obj, ensure_ascii=False).encode())
+        assert "é".encode() in path.read_bytes()
+
+    run = tmp_path / "run"
+    unescape(tmp_path / "g" / "meta.json")
+    assert main(["train", "--data", str(tmp_path / "g"), "--epochs", "1",
+                 "--out", str(run)]) == EXIT_OK
+    capsys.readouterr()
+    unescape(run / "manifest.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dignn.cli", "eval", "--run", str(run)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+             "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))})
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == (run / "metrics.json").read_text()
+
+
 class TestSynth:
     def test_writes_graph_files(self, data_dir):
         names = set(os.listdir(data_dir))
@@ -477,9 +507,8 @@ class TestTrain:
         code = main(["train", "--manifest",
                      os.path.join(trained_run, "manifest.json"), "--out", out2])
         assert code == EXIT_OK
-        a = open(os.path.join(trained_run, "model.bin"), "rb").read()
-        b = open(os.path.join(out2, "model.bin"), "rb").read()
-        assert a == b
+        assert (Path(out2, "model.bin").read_bytes()
+                == Path(trained_run, "model.bin").read_bytes())
 
     @pytest.mark.parametrize("row", _rows("manifest"))
     def test_bad_manifest_is_usage_error(self, fails, row):
@@ -710,7 +739,7 @@ class TestExportEmbeddings:
         out = str(tmp_path / "emb.csv")
         code = main(["export-embeddings", "--run", trained_run, "--out", out])
         assert code == EXIT_OK
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         header = lines[0].split(",")
         assert header[:2] == ["node_id", "label"]
         d = len(header) - 2

@@ -260,8 +260,9 @@ def _reachable(loss):
 
 # One tape node per dense layer (two per view encoder, one per attention
 # score, the classifier, and under full the decoders' three), so a layer
-# built from separate product, bias and activation nodes would show.
-@pytest.mark.parametrize("ablation, nodes", [("full", 66), ("no_mi", 34)])
+# built from separate product, bias and activation nodes would show; and no
+# node for the data the encoders read, so a feature leaf would show too.
+@pytest.mark.parametrize("ablation, nodes", [("full", 65), ("no_mi", 33)])
 def test_tape_size(ablation, nodes):
     assert len(_reachable(_toy_loss(ablation)[2])) == nodes
 
@@ -270,9 +271,14 @@ class TestOptimizerTensors:
     @pytest.mark.parametrize("ablation", ABLATIONS)
     def test_optimizer_holds_exactly_the_tensors_the_loss_reads(self, ablation):
         cfg, params, loss = _toy_loss(ablation)
-        seen = {id(v) for v in _reachable(loss)}
+        tape = _reachable(loss)
+        seen = {id(v) for v in tape}
         reachable = {n for n, v in params.tensors.items() if id(v) in seen}
-        assert set(build_optimizer(params, cfg).params) == reachable
+        opt = build_optimizer(params, cfg)
+        assert set(opt.params) == reachable
+        # The tape's leaves are the optimizer's tensors: no data is a Var.
+        leaves = {id(v) for v in tape if not v.parents}
+        assert leaves == {id(v) for v in opt.params.values()}
 
     def test_no_mi_leaves_decoders_at_init(self, small_data):
         g, split = small_data
