@@ -4,9 +4,9 @@ Every value is a 2-D numpy array (scalars are 1x1). The graph is rebuilt on
 every forward pass (define-by-run): each op returns a new Var that remembers
 its parents and a closure that pushes the incoming gradient back to them.
 Data never enters the tape: it reaches an op only as a plain array (a
-float64 ndarray or a scipy CSR matrix), which gets no grad and is no
-parent. That is ``dense``'s ``x``, the targets of ``mse`` and
-``sparse_target_mse``, ``add_const``'s ``c`` and ``ce_with_logits``' labels.
+float64 ndarray or a scipy CSR matrix) or a float, which gets no grad and is
+no parent. That is ``dense``'s ``x``, ``add``'s and ``mul``'s ``b``, the
+targets of ``mse`` and ``sparse_target_mse`` and ``ce_with_logits``' labels.
 """
 
 from __future__ import annotations
@@ -79,13 +79,18 @@ def _broadcastable(sa, sb):
     return all(x == y or x == 1 or y == 1 for x, y in zip(sa, sb))
 
 
-def add(a: Var, b: Var) -> Var:
-    if not _broadcastable(a.shape, b.shape):
-        raise DimensionError(f"add: shape {a.shape} vs {b.shape}")
-    out = Var(a.value + b.value, parents=(a, b))
+def add(a: Var, b) -> Var:
+    """a + b with numpy broadcasting, for ``b`` a Var or plain data (a float
+    or an array), which gets no grad and is not a parent."""
+    data = not isinstance(b, Var)
+    bv = _as_matrix(b) if data else b.value
+    if not _broadcastable(a.shape, bv.shape):
+        raise DimensionError(f"add: shape {a.shape} vs {bv.shape}")
+    parents = (a,) if data else (a, b)
+    out = Var(a.value + bv, parents=parents)
 
     def bwd(g):
-        for v in (a, b):
+        for v in parents:
             d = _unbroadcast(g, v.value.shape)
             _accumulate(v, d, shared=d is g)
 
@@ -93,62 +98,19 @@ def add(a: Var, b: Var) -> Var:
     return out
 
 
-def mul(a: Var, b: Var) -> Var:
-    """Elementwise product with numpy broadcasting."""
-    if not _broadcastable(a.shape, b.shape):
-        raise DimensionError(f"mul: shape {a.shape} vs {b.shape}")
-    out = Var(a.value * b.value, parents=(a, b))
+def mul(a: Var, b) -> Var:
+    """Elementwise product with numpy broadcasting, for ``b`` a Var or plain
+    data as in ``add``. ``mul(a, a)`` is a's square."""
+    data = not isinstance(b, Var)
+    bv = _as_matrix(b) if data else b.value
+    if not _broadcastable(a.shape, bv.shape):
+        raise DimensionError(f"mul: shape {a.shape} vs {bv.shape}")
+    out = Var(a.value * bv, parents=(a,) if data else (a, b))
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
-
-    out._backward = bwd
-    return out
-
-
-def add_const(a: Var, c) -> Var:
-    """a + c where c is plain data; gradient flows through a only."""
-    c = np.asarray(c, dtype=np.float64)
-    out = Var(a.value + c, parents=(a,))
-
-    def bwd(g):
-        d = _unbroadcast(g, a.value.shape)
-        _accumulate(a, d, shared=d is g)
-
-    out._backward = bwd
-    return out
-
-
-def scale(a: Var, s: float) -> Var:
-    s = float(s)
-    out = Var(a.value * s, parents=(a,))
-
-    def bwd(g):
-        _accumulate(a, g * s)
-
-    out._backward = bwd
-    return out
-
-
-def square(a: Var) -> Var:
-    out = Var(a.value * a.value, parents=(a,))
-
-    def bwd(g):
-        _accumulate(a, 2.0 * a.value * g)
-
-    out._backward = bwd
-    return out
-
-
-def matmul(a: Var, b: Var) -> Var:
-    if a.value.shape[1] != b.value.shape[0]:
-        raise DimensionError(f"matmul: shape {a.value.shape} vs {b.value.shape}")
-    out = Var(a.value @ b.value, parents=(a, b))
-
-    def bwd(g):
-        _accumulate(a, g @ b.value.T)
-        _accumulate(b, a.value.T @ g)
+        _accumulate(a, _unbroadcast(g * bv, a.value.shape))
+        if not data:
+            _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
 
     out._backward = bwd
     return out
@@ -164,32 +126,35 @@ ACTIVATIONS = {
 }
 
 
-def dense(x, w: Var, b: Var, act: str | None = None) -> Var:
-    """act(x @ w + b) as one tape node, for a (1, cols) bias row b and an
-    ``ACTIVATIONS`` name or None (no activation). ``x`` is a Var or plain
-    data (a float64 ndarray or a CSR matrix); data gets no grad and is not
-    a parent.
+def dense(x, w: Var, b: Var | None, act: str | None = None) -> Var:
+    """act(x @ w + b) as one tape node, for a (1, cols) bias row b or None (no
+    bias) and an ``ACTIVATIONS`` name or None (no activation). ``x`` is a Var
+    or plain data (a float64 ndarray or a CSR matrix); data gets no grad and
+    is not a parent.
 
     The bias is added and ``act`` applied in place on the product, so the
     node holds one (rows, cols) array. Its backward takes the steps of the
-    matmul, add and activation chain it replaces, in that chain's order:
+    product, bias and activation chain it replaces, in that chain's order:
     g * act'(y), then the grads of b, x and w."""
     data = not isinstance(x, Var)
     xv = x if data else x.value
-    if xv.shape[1] != w.value.shape[0] or b.value.shape != (1, w.value.shape[1]):
-        raise DimensionError(f"dense: x {xv.shape}, w {w.value.shape}, b {b.value.shape}")
+    b_shape = None if b is None else b.value.shape
+    if xv.shape[1] != w.value.shape[0] or b_shape not in (None, (1, w.value.shape[1])):
+        raise DimensionError(f"dense: x {xv.shape}, w {w.value.shape}, b {b_shape}")
     forward, derivative = ACTIVATIONS[act] if act is not None else (None, None)
     y = np.asarray(xv @ w.value)
-    y += b.value
+    if b is not None:
+        y += b.value
     if forward is not None:
         forward(y)
-    out = Var(y, parents=(w, b) if data else (x, w, b))
+    out = Var(y, parents=tuple(v for v in (x, w, b) if isinstance(v, Var)))
 
     def bwd(g):
         if derivative is not None:
             g = g * derivative(y)
-        d = _unbroadcast(g, b.value.shape)
-        _accumulate(b, d, shared=d is g)
+        if b is not None:
+            d = _unbroadcast(g, b_shape)
+            _accumulate(b, d, shared=d is g)
         if not data:
             _accumulate(x, g @ w.value.T)
         _accumulate(w, np.asarray(xv.T @ g))

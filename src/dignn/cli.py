@@ -130,7 +130,11 @@ def read_manifest(path: str) -> tuple[dict, str, dict, dict]:
     for key, typ in CONFIG_KEYS.items():
         if not (type(cfg[key]) is typ or (typ is float and type(cfg[key]) is int)):
             raise UsageError(f"{path}: bad value for {key}: {cfg[key]!r}")
-    return cfg, manifest["data"], manifest["input_hashes"], outputs
+    try:  # the path's bytes, which name the same directory under any locale
+        data = os.fsdecode(manifest["data"].encode(errors="surrogateescape"))
+    except UnicodeEncodeError as exc:
+        raise UsageError(f"{path}: 'data' is not a path: {exc}") from exc
+    return cfg, data, manifest["input_hashes"], outputs
 
 
 def resolve_config(file_cfg: dict, cli_overrides: dict) -> dict:

@@ -242,11 +242,11 @@ def encode_views(params: DignnParams, batch: BatchSubgraph) -> tuple[Var, Var]:
 
 def reparameterize(mu: Var, sigma: float, eps: np.ndarray) -> Var:
     """mu + sigma * eps with eps fixed data; gradient flows through mu only."""
-    return ad.add_const(mu, sigma * eps)
+    return ad.add(mu, sigma * eps)
 
 
 def _attention_score(z: Var, w: Var, b: Var, q: Var) -> Var:
-    return ad.matmul(ad.dense(z, w, b, "tanh"), q)
+    return ad.dense(ad.dense(z, w, b, "tanh"), q, None)
 
 
 def attention_fuse(params: DignnParams, z_a: Var, z_x: Var):
@@ -255,8 +255,8 @@ def attention_fuse(params: DignnParams, z_a: Var, z_x: Var):
     w, b, q = params["att_w"], params["att_b"], params["att_q"]
     s_a = _attention_score(z_a, w, b, q)
     s_x = _attention_score(z_x, w, b, q)
-    alpha_a = ad.sigmoid(ad.add(s_a, ad.scale(s_x, -1.0)))
-    alpha_x = ad.add_const(ad.scale(alpha_a, -1.0), 1.0)
+    alpha_a = ad.sigmoid(ad.add(s_a, ad.mul(s_x, -1.0)))
+    alpha_x = ad.add(ad.mul(alpha_a, -1.0), 1.0)
     fused = ad.add(ad.mul(alpha_a, z_a), ad.mul(alpha_x, z_x))
     return alpha_a, alpha_x, fused
 
@@ -295,9 +295,9 @@ def rec_loss(batch: BatchSubgraph, params: DignnParams, out: ForwardOut) -> Var:
 
 def _mean_log_normal(z: Var, mu: float, var: float, dim: int, n: int) -> Var:
     """Mean over nodes of log N(z_i; mu, var*I) for a scalar mean mu."""
-    ssq = ad.sum_all(ad.square(ad.add_const(z, -mu)))
-    out = ad.scale(ssq, -1.0 / (2.0 * var * n))
-    return ad.add_const(out, -0.5 * dim * math.log(2.0 * math.pi * var))
+    d = ad.add(z, -mu)
+    out = ad.mul(ad.sum_all(ad.mul(d, d)), -1.0 / (2.0 * var * n))
+    return ad.add(out, -0.5 * dim * math.log(2.0 * math.pi * var))
 
 
 def exc_loss(mu_a: Var, mu_x: Var, z_a_s: Var, z_x_s: Var, cfg: DignnConfig) -> Var:
@@ -315,12 +315,12 @@ def exc_loss(mu_a: Var, mu_x: Var, z_a_s: Var, z_x_s: Var, cfg: DignnConfig) -> 
         diff = z_s.value - mu.value
         cond += (float((diff * diff).sum()) * (-1.0 / (2.0 * s2 * n))
                  - 0.5 * d * math.log(2.0 * math.pi * s2))
-    total = ad.add_const(ad.scale(ad.add(prior_a, prior_x), -1.0), cond)
-    return ad.scale(total, 0.5)
+    total = ad.add(ad.mul(ad.add(prior_a, prior_x), -1.0), cond)
+    return ad.mul(total, 0.5)
 
 
 def total_loss(ce: Var, rec: Var, exc: Var, cfg: DignnConfig) -> Var:
-    return ad.add(ce, ad.add(ad.scale(rec, cfg.alpha), ad.scale(exc, cfg.beta)))
+    return ad.add(ce, ad.add(ad.mul(rec, cfg.alpha), ad.mul(exc, cfg.beta)))
 
 
 def predict(params: DignnParams, batch: BatchSubgraph, cfg: DignnConfig):

@@ -30,29 +30,6 @@ def rel_err(a, b):
     return np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-5))
 
 
-class TestMatmul:
-    def test_identity(self):
-        out = ad.matmul(ad.Var([[1, 0], [0, 1]]), ad.Var([[3], [4]]))
-        assert np.array_equal(out.value, [[3], [4]])
-
-    def test_hand_multiplication(self):
-        out = ad.matmul(ad.Var([[1, 2], [3, 4]]), ad.Var([[1], [1]]))
-        assert np.array_equal(out.value, [[3], [7]])
-
-    def test_gradient_matches_finite_differences(self):
-        a = ad.Var([[1, 2], [3, 4]])
-        b = ad.Var([[1], [1]])
-        loss = ad.sum_all(ad.matmul(a, b))
-        ad.backward(loss)
-        fd = fd_grad(lambda: float(ad.sum_all(ad.matmul(a, b)).value[0, 0]), a.value)
-        assert np.allclose(a.grad, [[1, 1], [1, 1]])
-        assert rel_err(fd, a.grad) <= 1e-4
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError, match=r"\(2, 2\).*\(3, 1\)"):
-            ad.matmul(ad.Var(np.ones((2, 2))), ad.Var(np.ones((3, 1))))
-
-
 def _csr_x():
     """A CSR input with an empty row. Its entries are powers of two,
     each column holds one and each row at most two, so its products with any
@@ -67,13 +44,13 @@ def _csr_x():
 
 
 def _unfused(x, w, b, act, g):
-    """The value, and the grads of x, w and b for upstream grad g, that the
-    matmul, add and activation ops ``dense`` replaces computed."""
-    z = x @ w + b
+    """The value, and the grads of x, w and b (None for no bias) for upstream
+    grad g, of the product, bias and activation chain ``dense`` replaces."""
+    z = x @ w if b is None else x @ w + b
     y = {None: z, "relu": np.maximum(z, 0.0), "tanh": np.tanh(z)}[act]
     dz = {None: g, "relu": g * (z > 0.0).astype(np.float64),
           "tanh": g * (1.0 - y * y)}[act]
-    return y, dz @ w.T, x.T @ dz, dz.sum(axis=0, keepdims=True)
+    return y, dz @ w.T, x.T @ dz, None if b is None else dz.sum(axis=0, keepdims=True)
 
 
 def _identity_dense(cols, act):
@@ -85,23 +62,30 @@ def _identity_dense(cols, act):
 
 class TestDense:
     @pytest.mark.parametrize("kind", ["var", "array", "csr"])
-    @pytest.mark.parametrize("act", [None, "relu", "tanh"], ids=["none", "relu", "tanh"])
-    def test_matches_unfused_chain(self, act, kind):
+    @pytest.mark.parametrize("act, bias", [
+        (None, True), ("relu", True), ("tanh", True), (None, False),
+    ], ids=["none", "relu", "tanh", "none_no_bias"])
+    def test_matches_unfused_chain(self, act, bias, kind):
         rng = np.random.default_rng(4)
         dense_x = _csr_x().toarray() if kind == "csr" else rng.standard_normal((5, 7))
         x = {"var": ad.Var(dense_x), "array": dense_x, "csr": _csr_x()}[kind]
         w, b = ad.Var(rng.standard_normal((7, 3))), ad.Var(rng.standard_normal((1, 3)))
         g = rng.standard_normal((5, 3))  # an upstream grad other than ones
         assert np.abs(dense_x @ w.value + b.value).min() > 1e-3  # relu's kink is far
+        b = b if bias else None
         y = ad.dense(x, w, b, act)
         ad.backward(ad.sum_all(ad.mul(y, ad.Var(g))))
-        want = _unfused(dense_x, w.value, b.value, act, g)
+        want = _unfused(dense_x, w.value, None if b is None else b.value, act, g)
         assert np.array_equal(y.value, want[0])
-        assert np.array_equal(w.grad, want[2]) and np.array_equal(b.grad, want[3])
+        assert np.array_equal(w.grad, want[2])
+        if bias:
+            assert np.array_equal(b.grad, want[3])
+        params = (w, b) if bias else (w,)
         if kind == "var":
+            assert y.parents == (x, *params)
             assert np.array_equal(x.grad, want[1])
         else:
-            assert y.parents == (w, b)  # data gets no grad
+            assert y.parents == params  # data gets no grad
 
         def loss():
             return float((ad.dense(x, w, b, act).value * g).sum())
@@ -114,10 +98,51 @@ class TestDense:
         (sp.csr_matrix((2, 3)), (4, 1), (1, 1)),    # the same, CSR x
         (ad.Var(np.ones((2, 3))), (3, 2), (1, 3)),  # bias width
         (ad.Var(np.ones((2, 3))), (3, 2), (2, 2)),  # bias rows
-    ], ids=["x_width", "array_x_width", "csr_x_width", "bias_width", "bias_rows"])
+        (ad.Var(np.ones((2, 2))), (3, 1), None),    # x width, no bias
+    ], ids=["x_width", "array_x_width", "csr_x_width", "bias_width", "bias_rows",
+            "no_bias_x_width"])
     def test_shape_mismatch(self, x, w, b):
         with pytest.raises(DimensionError, match="dense"):
-            ad.dense(x, ad.Var(np.ones(w)), ad.Var(np.ones(b)))
+            ad.dense(x, ad.Var(np.ones(w)), None if b is None else ad.Var(np.ones(b)))
+
+
+@pytest.mark.parametrize("c", [-0.75, np.linspace(-2.0, 2.0, 12).reshape(4, 3)],
+                         ids=["float", "array"])
+class TestDataOperand:
+    """``add`` and ``mul`` with plain data as ``b``, which gets no grad and is
+    not a parent: a's value and grad are the plain sum or product's."""
+
+    @staticmethod
+    def _run(op, c):
+        rng = np.random.default_rng(8)
+        a = ad.Var(rng.standard_normal((4, 3)))
+        g = rng.standard_normal((4, 3))
+        y = op(a, c)
+        ad.backward(ad.sum_all(ad.mul(y, g)))  # y's grad is g, bit for bit
+        assert y.parents == (a,)
+        return a, y, g
+
+    def test_add(self, c):
+        a, y, g = self._run(ad.add, c)
+        assert np.array_equal(y.value, a.value + c)
+        assert np.array_equal(a.grad, g)  # passed through
+
+    def test_mul(self, c):
+        a, y, g = self._run(ad.mul, c)
+        assert np.array_equal(y.value, a.value * c)
+        assert np.array_equal(a.grad, g * c)
+
+
+def test_mul_by_itself_doubles_the_product_grad():
+    # mul(a, a) writes g * a into a's grad twice, and doubling is exact.
+    rng = np.random.default_rng(9)
+    a = ad.Var(rng.standard_normal((4, 3)))
+    g = rng.standard_normal((4, 3))
+    y = ad.mul(a, a)
+    ad.backward(ad.sum_all(ad.mul(y, g)))
+    assert y.parents == (a, a)
+    assert np.array_equal(y.value, a.value * a.value)
+    assert np.array_equal(a.grad, 2.0 * a.value * g)
 
 
 class TestElementwise:
@@ -333,7 +358,7 @@ class TestSparseTargetMse:
         h_val, w_val, b_val = values
         leaves = [ad.Var(h_val), *joined_leaves(w_val, b_val)]
         loss = f(*leaves)
-        ad.backward(ad.scale(loss, 1.7))  # an upstream gradient other than 1
+        ad.backward(ad.mul(loss, 1.7))  # an upstream gradient other than 1
         return [loss.value] + [v.grad for v in leaves]
 
     @pytest.mark.parametrize("kind", ["binary", "weighted", "empty_rows", "all_zero",
@@ -344,8 +369,8 @@ class TestSparseTargetMse:
         values = self._leaves(4)
         got = self._run(lambda h, w, b: ad.sparse_target_mse(h, w, b, target), values)
         assert target.nnz == stored  # the caller's matrix is left as it was
-        want = self._run(lambda h, w, b: ad.mse(ad.add(ad.matmul(h, w), b),
-                                                target.toarray()), values)
+        want = self._run(lambda h, w, b: ad.mse(ad.dense(h, w, b), target.toarray()),
+                         values)
         for g, d in zip(got, want):
             assert np.max(np.abs(g - d)) <= 1e-12 * np.max(np.abs(d))
 
@@ -485,7 +510,7 @@ class TestBackward:
 
     def test_shared_upstream_grad_is_not_aliased(self):
         # Both operands of one add receive the add's incoming grad unchanged;
-        # a receives a second contribution through square. If a and b shared
+        # a receives a second contribution through mul(a, a). If a and b shared
         # one buffer, that contribution would leak into b's grad.
         rng = np.random.default_rng(3)
         a_val, b_val = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
@@ -493,7 +518,7 @@ class TestBackward:
         def build(a_v, b_v):
             a, b = ad.Var(a_v), ad.Var(b_v)
             s = ad.add(a, b)
-            return ad.sum_all(ad.add(ad.sigmoid(s), ad.square(a))), a, b, s
+            return ad.sum_all(ad.add(ad.sigmoid(s), ad.mul(a, a))), a, b, s
 
         loss, a, b, s = build(a_val, b_val)
         ad.backward(loss)
@@ -519,7 +544,8 @@ class TestBackward:
             rng = np.random.default_rng(11)
             x = ad.Var(rng.standard_normal((4, 3)))
             w = ad.Var(rng.standard_normal((3, 2)))
-            return ad.ce_with_logits(ad.matmul(ad.sigmoid(x), w), [0, 1, 0, 1]).value[0, 0]
+            return ad.ce_with_logits(ad.dense(ad.sigmoid(x), w, None),
+                                     [0, 1, 0, 1]).value[0, 0]
 
         assert run() == run()
 
@@ -538,10 +564,10 @@ def test_all_ops_match_finite_differences(seed):
         h = ad.dense(a, b, ad.Var(rng_bias), "tanh")     # (n, m)
         h = ad.add(h, ad.dense(s, b, ad.Var(rng_bias), "relu"))
         sg = ad.sigmoid(h)
-        one_minus = ad.add_const(ad.scale(sg, -1.0), 1.0)
-        ce = ad.ce_with_logits(ad.matmul(ad.mul(sg, one_minus), ad.Var(proj)), labels)
+        one_minus = ad.add(ad.mul(sg, -1.0), 1.0)
+        ce = ad.ce_with_logits(ad.dense(ad.mul(sg, one_minus), ad.Var(proj), None), labels)
         return ad.add(ad.add(ce, ad.mse(h, target)),
-                      ad.scale(ad.sum_all(ad.square(one_minus)), 0.1)), a, b
+                      ad.mul(ad.sum_all(ad.mul(one_minus, one_minus)), 0.1)), a, b
 
     a_val = rng.standard_normal((n, k))
     b_val = rng.standard_normal((k, m))

@@ -102,8 +102,7 @@ def _exits(capsys, argv, code, fragment="", out=None):
     and ``fragment`` and no traceback, and leaves no ``out``."""
     assert main(argv) == code
     err = capsys.readouterr().err
-    prefix = {EXIT_USAGE: "usage error: ", EXIT_LOAD: "load error: ",
-              EXIT_DIVERGENCE: "error: "}[code]
+    prefix = {c: p + ": " for c, p in cli.FAILURE_EXITS.values()}[code]
     assert err.startswith(prefix) and "Traceback" not in err, err
     assert fragment in err, err
     assert out is None or not os.path.exists(out)
@@ -235,6 +234,8 @@ FAILURES = {
         ("not_object", _write(b"[]"), "a manifest needs a 'config' object"),
         ("no_config", _json(lambda m: m.pop("config")), "config"),
         ("data_not_string", _json(lambda m: m.update(data=3)), "'data' path"),
+        # a lone surrogate, which no file system path decodes to
+        ("data_not_a_path", _json(lambda m: m.update(data="\ud800")), "'data' is not a path"),
         ("missing_key", _json(lambda m: m["config"].pop("embed_dim")), "embed_dim"),
         ("unknown_key", _json(lambda m: m["config"].update(learning_rate=0.1)),
          "learning_rate"),
@@ -359,10 +360,12 @@ def test_failure_table(fails, row):
 
 def test_non_ascii_relation_runs_under_the_c_locale(tmp_path, capsys):
     # Under the C locale with UTF-8 mode off, the locale's encoding is ASCII.
-    # meta.json and the manifest are read as UTF-8 whatever it is, and an
-    # edge file is named, and its input hash keyed, by its relation's UTF-8.
+    # meta.json and the manifest are read as UTF-8 whatever it is, an edge
+    # file is named, and its input hash keyed, by its relation's UTF-8, and
+    # the manifest's data path names the directory train read.
     g = synth_generate(SynthConfig(num_nodes=50, feature_dim=3, seed=0))
-    save_graph(replace(g, relations={"é": g.relations["SYN"]}), str(tmp_path / "g"))
+    data = tmp_path / "gé"
+    save_graph(replace(g, relations={"é": g.relations["SYN"]}), str(data))
 
     def unescape(path):  # the same JSON, with "é" as UTF-8 bytes, not "\\u00e9"
         obj = json.loads(path.read_bytes())
@@ -370,8 +373,8 @@ def test_non_ascii_relation_runs_under_the_c_locale(tmp_path, capsys):
         assert "é".encode() in path.read_bytes()
 
     run = tmp_path / "run"
-    unescape(tmp_path / "g" / "meta.json")
-    assert main(["train", "--data", str(tmp_path / "g"), "--epochs", "1",
+    unescape(data / "meta.json")
+    assert main(["train", "--data", str(data), "--epochs", "1",
                  "--out", str(run)]) == EXIT_OK
     capsys.readouterr()
     unescape(run / "manifest.json")

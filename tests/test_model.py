@@ -333,7 +333,7 @@ class TestLosses:
                 p2 = cfg.prior_std ** 2
                 prior = ad.add(M._mean_log_normal(z_a, cfg.prior_mean, p2, d, n),
                                M._mean_log_normal(z_x, cfg.prior_mean, p2, d, n))
-                loss = ad.scale(ad.scale(prior, -1.0), 0.5)
+                loss = ad.mul(ad.mul(prior, -1.0), 0.5)
             else:
                 loss = M.exc_loss(mu_a, mu_x, z_a, z_x, cfg)
             ad.backward(loss)

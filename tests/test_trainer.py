@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -265,6 +266,17 @@ def _reachable(loss):
 @pytest.mark.parametrize("ablation, nodes", [("full", 65), ("no_mi", 33)])
 def test_tape_size(ablation, nodes):
     assert len(_reachable(_toy_loss(ablation)[2])) == nodes
+
+
+def test_tape_reaches_every_op_of_autodiff():
+    """The public functions of ``dignn.autodiff`` that build tape nodes (all
+    but ``backward``) are exactly the ops on the training tape, so an op
+    the model stops using fails here."""
+    ops = {name for name, f in vars(ad).items() if inspect.isfunction(f)
+           and f.__module__ == ad.__name__ and not name.startswith("_")} - {"backward"}
+    tape = _reachable(_toy_loss("full")[2])
+    used = {v._backward.__qualname__.split(".")[0] for v in tape if v.parents}
+    assert used == ops
 
 
 class TestOptimizerTensors:
