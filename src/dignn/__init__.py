@@ -5,7 +5,7 @@ from .graphdata import (
     FraudGraph, SplitIndex, BatchSubgraph, SynthConfig,
     load_graph, save_graph, stratified_split, downsample_epoch,
     make_batches, gather_batch, normalize_features, synth_generate,
-    neighbor_label_distribution, gaussian_bayes_auc,
+    neighbor_label_distribution,
 )
 from .metrics import MetricsReport, auc_rank, f1_macro, gmean, compute_report
 from .model import DignnConfig, DignnParams, ForwardOut
@@ -15,7 +15,7 @@ __all__ = [
     "FraudGraph", "SplitIndex", "BatchSubgraph", "SynthConfig",
     "load_graph", "save_graph", "stratified_split", "downsample_epoch",
     "make_batches", "gather_batch", "normalize_features", "synth_generate",
-    "neighbor_label_distribution", "gaussian_bayes_auc",
+    "neighbor_label_distribution",
     "MetricsReport", "auc_rank", "f1_macro", "gmean", "compute_report",
     "DignnConfig", "DignnParams", "ForwardOut",
     "TrainConfig", "TrainHistory", "train", "evaluate", "gradcheck",

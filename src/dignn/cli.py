@@ -32,7 +32,8 @@ from . import model as M
 from .model import DignnConfig, DignnParams
 from .rng import seed_streams
 from .trainer import (
-    ABLATIONS, MODES, SCORE_BLOCK, TrainConfig, evaluate, gradcheck, train,
+    ABLATIONS, GRADCHECK_VARIANTS, MODES, SCORE_BLOCK, TrainConfig, evaluate,
+    gradcheck, train,
 )
 
 EXIT_OK = 0
@@ -342,13 +343,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    variants = {
-        "default": DignnConfig(),
-        "ce_only": DignnConfig(alpha=0.0, beta=0.0),
-        "all_on": DignnConfig(alpha=1.0, beta=1.0),
-    }
     ok = True
-    for vname, mcfg in variants.items():
+    for vname, mcfg in GRADCHECK_VARIANTS.items():
         report = gradcheck(mcfg)
         for tname, err in report["per_tensor"].items():
             print(f"{vname} {tname} {err:.3e}")

@@ -354,7 +354,3 @@ def neighbor_label_distribution(g: FraudGraph) -> dict[int, dict[int, float] | N
         }
     return out
 
-
-def gaussian_bayes_auc(mean_separation: float) -> float:
-    """Best achievable AUC for two unit-variance Gaussian classes."""
-    return 0.5 * (1.0 + math.erf(mean_separation / 2.0))

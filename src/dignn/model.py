@@ -118,7 +118,7 @@ class DignnParams:
             if cls.is_bias(name):
                 a[...] = 0.0
             else:
-                glorot(rng, a.shape, out=a)
+                glorot(rng, a)
             tensors[name] = Var(a)
         return cls(tensors, n_nodes, feat_dim, cfg)
 
@@ -209,13 +209,13 @@ def _tensor_header(name: str, shape) -> bytes:
     return struct.pack("<I", len(raw)) + raw + struct.pack("<II", *shape)
 
 
-def glorot(rng, shape, out: np.ndarray | None = None) -> np.ndarray:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, drawn into ``out`` when
-    given: the same bits as ``rng.uniform(-limit, limit, shape)``. The draw
-    goes ``GLOROT_CHUNK`` values at a time, so that the scale and shift
-    run on values still in cache."""
-    limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-    out = np.empty(shape) if out is None else out
+def glorot(rng, out: np.ndarray) -> np.ndarray:
+    """Fill the (fan_in, fan_out) array ``out`` with uniform
+    +-sqrt(6/(fan_in+fan_out)) weights and return it: the same bits as
+    ``rng.uniform(-limit, limit, out.shape)``. The draw goes
+    ``GLOROT_CHUNK`` values at a time, so that the scale and shift run on
+    values still in cache."""
+    limit = math.sqrt(6.0 / (out.shape[0] + out.shape[1]))
     flat = out.reshape(-1)
     for lo in range(0, flat.size, GLOROT_CHUNK):
         chunk = rng.random(out=flat[lo:lo + GLOROT_CHUNK])

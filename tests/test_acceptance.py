@@ -15,15 +15,15 @@ import pytest
 import dignn.model as M
 from dignn.cli import EXIT_OK, main
 from dignn.graphdata import (
-    SynthConfig, gather_batch, gaussian_bayes_auc, neighbor_label_distribution,
-    normalize_features, load_graph, stratified_split, synth_generate,
+    SynthConfig, gather_batch, neighbor_label_distribution, normalize_features,
+    load_graph, stratified_split, synth_generate,
 )
 from dignn.metrics import auc_rank
 from dignn.model import DignnConfig
 from dignn.rng import seed_streams
-from dignn.trainer import (
-    TrainConfig, evaluate, gradcheck, train, train_smoothing_baseline,
-)
+from dignn.trainer import GRADCHECK_VARIANTS, TrainConfig, evaluate, gradcheck, train
+
+from baselines import gaussian_bayes_auc, train_smoothing_baseline
 
 SEEDS = (3, 4, 5, 6, 7)
 DELTA = 2.33  # attribute Bayes-oracle AUC ~ 0.95
@@ -74,12 +74,7 @@ def experiment():
 
 
 def test_criterion_1_gradient_fidelity():
-    variants = {
-        "default": DignnConfig(),
-        "ce_only": DignnConfig(alpha=0.0, beta=0.0),
-        "all_on": DignnConfig(alpha=1.0, beta=1.0),
-    }
-    worst = max(gradcheck(cfg)["max_rel_err"] for cfg in variants.values())
+    worst = max(gradcheck(cfg)["max_rel_err"] for cfg in GRADCHECK_VARIANTS.values())
     assert report(1, "gradient-fidelity", worst <= 1e-4), worst
 
 

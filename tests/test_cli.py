@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dignn import autodiff as ad
 from dignn import cli
 from dignn import model as M
 from dignn.autodiff import Var
@@ -27,7 +28,7 @@ from dignn.graphdata import (
 )
 from dignn.model import DignnConfig, DignnParams
 from dignn.rng import seed_streams
-from dignn.trainer import SCORE_BLOCK, TrainConfig, gradcheck
+from dignn.trainer import SCORE_BLOCK, TrainConfig
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -726,7 +727,8 @@ class TestGradcheck:
         assert "max_rel_err" in out and "FAIL" not in out
 
     def test_corrupted_gradient_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "gradcheck", partial(gradcheck, corrupt="clf_w"))
+        forward, _ = ad.ACTIVATIONS["tanh"]
+        monkeypatch.setitem(ad.ACTIVATIONS, "tanh", (forward, lambda y: 1.0 + y * y))
         code = main(["gradcheck"])
         assert code == EXIT_GRADCHECK
         assert "FAIL" in capsys.readouterr().out

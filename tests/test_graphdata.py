@@ -8,10 +8,12 @@ import pytest
 from dignn.errors import GraphLoadError, InvalidLabelError, SplitError
 from dignn.graphdata import (
     FraudGraph, SplitIndex, SynthConfig, build_union_adj, downsample_epoch, gather_batch,
-    gaussian_bayes_auc, load_graph, make_batches, neighbor_label_distribution,
-    normalize_features, save_graph, stratified_split, synth_generate,
+    load_graph, make_batches, neighbor_label_distribution, normalize_features,
+    save_graph, stratified_split, synth_generate,
 )
 from dignn.metrics import auc_rank
+
+from baselines import gaussian_bayes_auc
 
 
 def toy_graph(edges=((0, 1),), labels=(0, 1, 0), n_feat=2):

@@ -17,8 +17,10 @@ from dignn.model import DignnConfig, DignnParams
 from dignn.rng import generator, seed_streams
 from dignn.trainer import (
     ABLATIONS, SCORE_BLOCK, TrainConfig, build_optimizer, evaluate, gradcheck,
-    smoothed_features, train, train_smoothing_baseline, _batch_losses, _toy_graph,
+    train, _batch_losses, _toy_graph,
 )
+
+from baselines import smoothed_features, train_smoothing_baseline
 
 
 def small_train_cfg(**over):
@@ -188,6 +190,26 @@ class TestTrain:
         for name in p1.tensors:
             assert np.array_equal(p1[name].value, p2[name].value)
         assert [r.total for r in h1.epochs] == [r.total for r in h2.epochs]
+
+    def test_spawns_each_epoch_seed_as_the_epoch_starts(self, small_data, monkeypatch):
+        asked = []
+
+        class RecordingSeeds:
+            def __init__(self, seq):
+                self.seq = seq
+
+            def spawn(self, n):
+                asked.append(n)
+                return self.seq.spawn(n)
+
+        def streams(root_seed):
+            seqs = seed_streams(root_seed)
+            return {**seqs, "sample": RecordingSeeds(seqs["sample"])}
+
+        monkeypatch.setattr(trainer, "seed_streams", streams)
+        g, split = small_data
+        train(g, split, small_train_cfg(epochs=3))
+        assert asked == [1, 1, 1]
 
     def test_no_mi_ablation_skips_aux_losses(self, small_data):
         g, split = small_data
@@ -396,11 +418,16 @@ class TestGradcheck:
         result = gradcheck(DignnConfig(alpha=0.0, beta=0.0))
         assert result["passed"]
 
-    def test_corruption_is_detected(self):
-        result = gradcheck(corrupt="clf_w")
+    def test_corruption_is_detected(self, monkeypatch):
+        # tanh' = 1 + y^2 instead of 1 - y^2: only the attention layer's
+        # hidden tanh and the tensors it back-propagates into are wrong.
+        forward, _ = ad.ACTIVATIONS["tanh"]
+        monkeypatch.setitem(ad.ACTIVATIONS, "tanh", (forward, lambda y: 1.0 + y * y))
+        result = gradcheck()
+        errs = result["per_tensor"]
         assert not result["passed"]
-        worst = max(result["per_tensor"], key=result["per_tensor"].get)
-        assert worst == "clf_w"
+        assert errs["att_w"] > 1e-4
+        assert errs["clf_w"] <= 1e-4 and errs["att_q"] <= 1e-4
 
 
 class TestSmoothingBaseline:
