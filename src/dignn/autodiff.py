@@ -11,6 +11,8 @@ targets of ``mse`` and ``sparse_target_mse`` and ``ce_with_logits``' labels.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -266,8 +268,9 @@ def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
         _accumulate(h, c * (h1 @ w1w1 - aw1)[:, :k])
         dw1 = (c * gram) @ w1
         h1ta = (a_used.T @ h1).T                     # h1^T A on the used columns
-        h1ta *= c  # in place: a second (k+1, |used|) array would be a third temporary
-        dw1[:, used] -= h1ta
+        h1ta *= c  # in place: a scaled copy would be a second (k+1, |used|) temporary
+        for row, sub in zip(dw1, h1ta):
+            row[used] -= sub  # row by row: dw1[:, used] would gather a (k+1, |used|) copy
         _accumulate(w, dw1[:k])                      # disjoint views of dw1
         _accumulate(b, dw1[k:])
 
@@ -301,17 +304,16 @@ def ce_with_logits(logits: Var, labels) -> Var:
     return out
 
 
-def backward(loss: Var):
-    """Populate .grad of everything reachable from a scalar loss.
+def _walk(loss: Var, watch: dict | None = None, done=None) -> None:
+    """Run the backward of every node reachable from the scalar ``loss``, in
+    reversed depth-first post-order, from a grad of ones at ``loss``.
 
-    A grad's lifecycle: ``None`` until the first write, which assigns the
-    contribution itself; later contributions (within this pass or from a
-    later call) are added into it in place; ``zero_grad`` sets it back to
-    ``None``. So a grad is never allocated just to be zero-filled, and after
-    the pass every Var reachable from ``loss`` through ``parents`` holds an
-    array of its value's shape, while a Var the loss does not read keeps
-    ``None``.
+    For each Var v with ``id(v)`` in the mapping ``watch`` that the loss
+    reaches, ``done(watch[id(v)], v)`` is called as soon as v's grad is final:
+    once the backward of every node that lists v among its parents has run,
+    counted per parent slot (``mul(d, d)`` lists d twice).
     """
+    watch = watch or {}
     if loss.value.shape != (1, 1):
         raise DimensionError(f"backward: loss must be scalar, got {loss.value.shape}")
     topo: list[Var] = []
@@ -329,10 +331,30 @@ def backward(loss: Var):
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
+    pending = Counter(id(p) for node in topo for p in node.parents if id(p) in watch)
     loss.grad = np.ones((1, 1))
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+        for p in node.parents:
+            if id(p) in pending:
+                pending[id(p)] -= 1
+                if not pending[id(p)]:
+                    done(watch[id(p)], p)
+
+
+def backward(loss: Var):
+    """Populate .grad of everything reachable from a scalar loss.
+
+    A grad's lifecycle: ``None`` until the first write, which assigns the
+    contribution itself; later contributions (within this pass or from a
+    later call) are added into it in place; ``zero_grad`` sets it back to
+    ``None``. So a grad is never allocated just to be zero-filled, and after
+    the pass every Var reachable from ``loss`` through ``parents`` holds an
+    array of its value's shape, while a Var the loss does not read keeps
+    ``None``.
+    """
+    _walk(loss)
 
 
 # Adam walks each tensor in chunks of this many float64 values (128 KB), so
@@ -364,10 +386,21 @@ class Adam:
         for p in self.params.values():
             p.zero_grad()
 
-    def step(self):
-        """Update every tensor that has a grad in place, ``ADAM_CHUNK``
-        values at a time; a tensor whose grad is ``None`` keeps its value and
-        moments.
+    def step(self, loss: Var):
+        """Run the backward pass of the scalar ``loss`` (the walk of
+        ``backward``) and update each tensor in place as soon as its grad is
+        final, then set that grad to ``None``; so the grads of two tensors are
+        alive together only while both are still being summed. A tensor the
+        loss does not reach keeps its value, moments and grad. A trained
+        tensor's grad is ``None`` between steps; one set before the step is
+        added to like any other contribution.
+        """
+        self.t += 1
+        _walk(loss, {id(p): name for name, p in self.params.items()}, self._apply)
+
+    def _apply(self, name: str, p: Var):
+        """Update p from its grad, ``ADAM_CHUNK`` values at a time, and drop
+        the grad.
 
         Each value takes, in this order, g = grad + wd*p,
         m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
@@ -375,32 +408,29 @@ class Adam:
         value's arithmetic is the same whatever the chunking, and nothing
         larger than the two chunk-sized scratch buffers is allocated.
         """
-        self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            decay = self.weight_decay if name not in self.no_decay else 0.0
-            state = (p.value, p.grad, self.m[name], self.v[name])
-            flat = [a.reshape(-1) for a in state]
-            for lo in range(0, p.value.size, ADAM_CHUNK):
-                pc, gc, mc, vc = (a[lo:lo + ADAM_CHUNK] for a in flat)
-                s, u = (buf[:pc.size] for buf in self._scratch)
-                if decay:
-                    np.multiply(pc, decay, out=s)
-                    gc = np.add(gc, s, out=s)
-                mc *= b1
-                mc += np.multiply(gc, 1.0 - b1, out=u)
-                vc *= b2
-                np.multiply(gc, 1.0 - b2, out=u)
-                u *= gc
-                vc += u
-                np.divide(mc, c1, out=s)
-                s *= lr
-                np.divide(vc, c2, out=u)
-                np.sqrt(u, out=u)
-                u += eps
-                s /= u
-                pc -= s
+        decay = self.weight_decay if name not in self.no_decay else 0.0
+        state = (p.value, p.grad, self.m[name], self.v[name])
+        flat = [a.reshape(-1) for a in state]
+        for lo in range(0, p.value.size, ADAM_CHUNK):
+            pc, gc, mc, vc = (a[lo:lo + ADAM_CHUNK] for a in flat)
+            s, u = (buf[:pc.size] for buf in self._scratch)
+            if decay:
+                np.multiply(pc, decay, out=s)
+                gc = np.add(gc, s, out=s)
+            mc *= b1
+            mc += np.multiply(gc, 1.0 - b1, out=u)
+            vc *= b2
+            np.multiply(gc, 1.0 - b2, out=u)
+            u *= gc
+            vc += u
+            np.divide(mc, c1, out=s)
+            s *= lr
+            np.divide(vc, c2, out=u)
+            np.sqrt(u, out=u)
+            u += eps
+            s /= u
+            pc -= s
+        p.grad = None

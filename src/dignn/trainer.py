@@ -163,13 +163,13 @@ def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
             loss, figures = _batch_losses(params, gather_batch(graph, ids), cfg, rng)
             if not math.isfinite(figures[3]):
                 raise DivergenceError(f"non-finite loss at epoch {e + 1}", history)
-            opt.zero_grad()
-            ad.backward(loss)
-            # Dropping the loss frees the step's tape (every intermediate
-            # value and grad) before Adam runs and the next forward builds
-            # its own, so at most one tape is alive.
+            # Adam updates each tensor as soon as its grad is final, inside
+            # the backward walk, and drops that grad. Dropping the loss then
+            # frees the step's tape (every intermediate value and grad)
+            # before the next forward builds its own, so at most one tape is
+            # alive.
+            opt.step(loss)
             del loss
-            opt.step()
             sums += ids.size * np.array(figures)
         means = [float(x) for x in sums / epoch_ids.size]
         val = evaluate(params, graph, split.val)

@@ -53,9 +53,7 @@ def train_smoothing_baseline(graph: FraudGraph, split: SplitIndex,
     train_ids = np.asarray(split.train)
     for _ in range(cfg.epochs):
         loss = ad.ce_with_logits(logits_for(train_ids), graph.labels[train_ids])
-        opt.zero_grad()
-        ad.backward(loss)
-        opt.step()
+        opt.step(loss)
 
     test_ids = np.asarray(split.test)
     preds, scores = M.softmax_predict(logits_for(test_ids).value)

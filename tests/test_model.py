@@ -193,9 +193,8 @@ class TestJoinedDecoderLayer:
         names = ["dec_a_w2", "dec_a_b2"]
         snap = p.snapshot(names)
         opt = ad.Adam({n: p[n] for n in names}, lr=0.001, weight_decay=0.0005)
-        for n in names:
-            p[n].grad = np.ones(p[n].shape)
-        opt.step()
+        # Each tensor's grad is ones: sum_all(mul(v, 1)) hands v 1.0 * 1.
+        opt.step(ad.add(*(ad.sum_all(ad.mul(p[n], np.ones(p[n].shape))) for n in names)))
         assert_decoder_layer_joined(p)
         assert not np.array_equal(p["dec_a_b2"].value, snap["dec_a_b2"])
         p.restore(snap)

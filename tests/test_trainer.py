@@ -120,9 +120,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("ablation", ABLATIONS)
     def test_holds_one_tape_and_one_snapshot(self, monkeypatch, ablation):
-        # N-sized tensors dominate here, so that a second snapshot or a
-        # second step's tape alive at once shows: each adds 0.6 to 2.6 MB to
-        # a peak of 18 (no_mi) or 29.5 MB (full).
+        # N-sized tensors dominate here, so that a second snapshot, a second
+        # step's tape or a grad kept from one step to the next shows: each
+        # adds 0.4 to 2.6 MB to a peak of 16.5 (no_mi) or 27 MB (full).
         g = synth_generate(SynthConfig(num_nodes=20_000, feature_dim=8,
                                        fraud_rate=0.05, seed=1))
         split = stratified_split(g, (0.4, 0.2, 0.4), seed=1)
@@ -131,13 +131,13 @@ class TestTrain:
         params = DignnParams.init(g.num_nodes, g.feature_dim, cfg.model, 0)
         opt = build_optimizer(params, cfg)
         # One step from no grads: the peak of its forward (with the batch it
-        # reads) and of the whole step, which ends holding its grads.
+        # reads) and of the whole step, which drops each grad as it applies it.
         ids = downsample_epoch(split.train, g.labels, 0)[:cfg.batch_size]
         tracemalloc.start()
         try:
             loss, _ = _batch_losses(params, gather_batch(g, ids), cfg, generator(0))
             fwd = tracemalloc.get_traced_memory()[1]
-            ad.backward(loss)
+            opt.step(loss)
             step = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -146,7 +146,6 @@ class TestTrain:
         adam = _peak_bytes(lambda: build_optimizer(params, cfg))  # moments, scratch
         tensors = sum(v.value.nbytes for v in params.tensors.values())
         trained = sum(v.value.nbytes for v in opt.params.values())
-        grads = sum(v.grad.nbytes for v in opt.params.values())
         del params, opt
 
         real, aucs, events = trainer.evaluate, iter((0.6, 0.9, 0.7)), []
@@ -165,11 +164,13 @@ class TestTrain:
         # Epoch 2's snapshot replaces epoch 1's, and epoch 2 is restored.
         assert events == ["snapshot", "snapshot", "restore"]
         # Parameters, Adam's state and one snapshot, then one working set at
-        # a time: a forward or a validation pass while the last step's grads
-        # are held, or a step from zero_grad on. The 2% covers train's own
-        # bookkeeping and batches whose forward reads more columns (the peak
-        # reads 1.01 of the bound; either copy held too long reads 1.03-1.10).
-        bound = tensors + adam + trained + max(grads + fwd, step, grads + score)
+        # a time: a forward, a step or a validation pass. No grad outlives
+        # its step. The 2% covers train's own bookkeeping and batches whose
+        # forward reads more columns (the peak reads 1.003 of the bound under
+        # no_mi and 1.009 under full; an Adam that runs after the whole
+        # backward and leaves its grads to the next step reads 1.023 and
+        # 1.038, and either copy held too long 1.03-1.10).
+        bound = tensors + adam + trained + max(fwd, step, score)
         assert peak <= 1.02 * bound
 
     def test_one_epoch_copies_no_parameters(self, small_data, monkeypatch):
@@ -347,7 +348,8 @@ class TestLazyGrads:
         assert decoders
         for name in decoders:
             assert params[name].grad is None, name
-        assert params["enc_a_w1"].grad is not None
+        # A trained tensor's grad is dropped by the step that applies it.
+        assert params["enc_a_w1"].grad is None
 
 
 @pytest.fixture(scope="module")
