@@ -11,8 +11,6 @@ targets of ``mse`` and ``sparse_target_mse`` and ``ce_with_logits``' labels.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -46,23 +44,16 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Var(shape={self.value.shape}, leaf={not self.parents})"
 
 
-def _accumulate(v: Var, d: np.ndarray, shared: bool = False) -> None:
+def _accumulate(v: Var, d: np.ndarray) -> None:
     """Add the contribution ``d`` to ``v.grad``. The first write assigns
-    ``d`` itself, later ones add into it in place. ``shared`` marks a ``d``
-    that another Var may also hold (an upstream grad passed through
-    unchanged); it is copied on assignment so that no two Vars share a grad
-    buffer."""
-    if v.grad is None:
-        v.grad = d.copy() if shared else d
-    else:
-        v.grad += d
+    ``d`` itself, later ones assign the new sum ``v.grad + d``. No grad array
+    is written once assigned, so ``d`` may be an array that another Var also
+    holds (an upstream grad passed through unchanged)."""
+    v.grad = d if v.grad is None else v.grad + d
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -93,8 +84,7 @@ def add(a: Var, b) -> Var:
 
     def bwd(g):
         for v in parents:
-            d = _unbroadcast(g, v.value.shape)
-            _accumulate(v, d, shared=d is g)
+            _accumulate(v, _unbroadcast(g, v.value.shape))
 
     out._backward = bwd
     return out
@@ -155,8 +145,7 @@ def dense(x, w: Var, b: Var | None, act: str | None = None) -> Var:
         if derivative is not None:
             g = g * derivative(y)
         if b is not None:
-            d = _unbroadcast(g, b_shape)
-            _accumulate(b, d, shared=d is g)
+            _accumulate(b, _unbroadcast(g, b_shape))
         if not data:
             _accumulate(x, g @ w.value.T)
         _accumulate(w, np.asarray(xv.T @ g))
@@ -304,16 +293,17 @@ def ce_with_logits(logits: Var, labels) -> Var:
     return out
 
 
-def _walk(loss: Var, watch: dict | None = None, done=None) -> None:
+def _walk(loss: Var):
     """Run the backward of every node reachable from the scalar ``loss``, in
-    reversed depth-first post-order, from a grad of ones at ``loss``.
+    reversed depth-first post-order, from a grad of ones at ``loss``, and
+    yield each leaf (a Var with no parents) at its turn.
 
-    For each Var v with ``id(v)`` in the mapping ``watch`` that the loss
-    reaches, ``done(watch[id(v)], v)`` is called as soon as v's grad is final:
-    once the backward of every node that lists v among its parents has run,
-    counted per parent slot (``mul(d, d)`` lists d twice).
+    Each node pushes its leaf parents before its other parents, so its
+    leaves are expanded last. A leaf then comes right after the last node
+    that reads it, with only that node's other leaves in between, so its
+    grad is final when it is yielded. Leaves have no parents to push, so
+    the non-leaves keep the order of a plain depth-first walk.
     """
-    watch = watch or {}
     if loss.value.shape != (1, 1):
         raise DimensionError(f"backward: loss must be scalar, got {loss.value.shape}")
     topo: list[Var] = []
@@ -328,33 +318,31 @@ def _walk(loss: Var, watch: dict | None = None, done=None) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node.parents:
+        for p in sorted(node.parents, key=lambda v: bool(v.parents)):
             if id(p) not in seen:
                 stack.append((p, False))
-    pending = Counter(id(p) for node in topo for p in node.parents if id(p) in watch)
     loss.grad = np.ones((1, 1))
     for node in reversed(topo):
-        if node._backward is not None:
+        if node.parents:
             node._backward(node.grad)
-        for p in node.parents:
-            if id(p) in pending:
-                pending[id(p)] -= 1
-                if not pending[id(p)]:
-                    done(watch[id(p)], p)
+        else:
+            yield node
 
 
 def backward(loss: Var):
     """Populate .grad of everything reachable from a scalar loss.
 
     A grad's lifecycle: ``None`` until the first write, which assigns the
-    contribution itself; later contributions (within this pass or from a
-    later call) are added into it in place; ``zero_grad`` sets it back to
-    ``None``. So a grad is never allocated just to be zero-filled, and after
-    the pass every Var reachable from ``loss`` through ``parents`` holds an
-    array of its value's shape, while a Var the loss does not read keeps
-    ``None``.
+    contribution itself; each later contribution (within this pass or from
+    a later call) replaces it with a new sum, so no grad array is written in
+    place; ``Adam``'s update of a tensor, or ``Adam.zero_grad``, sets it back
+    to ``None``. So a grad is never allocated just to be zero-filled, and
+    after the pass every Var reachable from ``loss`` through ``parents``
+    holds an array of its value's shape, while a Var the loss does not read
+    keeps ``None``.
     """
-    _walk(loss)
+    for _ in _walk(loss):
+        pass
 
 
 # Adam walks each tensor in chunks of this many float64 values (128 KB), so
@@ -384,19 +372,23 @@ class Adam:
 
     def zero_grad(self):
         for p in self.params.values():
-            p.zero_grad()
+            p.grad = None
 
     def step(self, loss: Var):
         """Run the backward pass of the scalar ``loss`` (the walk of
-        ``backward``) and update each tensor in place as soon as its grad is
-        final, then set that grad to ``None``; so the grads of two tensors are
-        alive together only while both are still being summed. A tensor the
-        loss does not reach keeps its value, moments and grad. A trained
-        tensor's grad is ``None`` between steps; one set before the step is
-        added to like any other contribution.
+        ``backward``) and update each tensor in place when the walk yields it,
+        right after the last node that reads it, then set that grad to
+        ``None``; so the grads of two tensors are alive together only while
+        both are still being summed. A tensor the loss does not reach keeps
+        its value, moments and grad. A trained tensor's grad is ``None``
+        between steps; one set before the step is added to like any other
+        contribution.
         """
         self.t += 1
-        _walk(loss, {id(p): name for name, p in self.params.items()}, self._apply)
+        names = {id(p): name for name, p in self.params.items()}
+        for leaf in _walk(loss):
+            if id(leaf) in names:
+                self._apply(names[id(leaf)], leaf)
 
     def _apply(self, name: str, p: Var):
         """Update p from its grad, ``ADAM_CHUNK`` values at a time, and drop

@@ -302,6 +302,79 @@ def test_tape_reaches_every_op_of_autodiff():
     assert used == ops
 
 
+def _plain_walk(loss):
+    """The nodes reachable from ``loss`` in reversed depth-first post-order,
+    each node's parents visited last to first, with no preference for
+    leaves. Its order of non-leaf backwards fixes the order of every sum."""
+    order, seen = [], set()
+
+    def visit(v):
+        seen.add(id(v))
+        for p in reversed(v.parents):
+            if id(p) not in seen:
+                visit(p)
+        order.append(v)
+
+    visit(loss)
+    return order[::-1]
+
+
+class TestWalkOrder:
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_leaves_follow_their_last_reader(self, ablation):
+        loss = _toy_loss(ablation)[2]
+        tape = _reachable(loss)
+        events = []
+
+        def recorded(node, bwd):
+            def run(g):
+                events.append(node)
+                bwd(g)
+            return run
+
+        for v in tape:
+            if v.parents:
+                v._backward = recorded(v, v._backward)
+        for leaf in ad._walk(loss):
+            events.append(leaf)
+        plain = [v for v in _plain_walk(loss) if v.parents]
+        assert [id(v) for v in events if v.parents] == [id(v) for v in plain]
+        leaves = [v for v in events if not v.parents]
+        assert len({id(v) for v in leaves}) == len(leaves) == len(tape) - len(plain)
+        for i, leaf in enumerate(events):
+            if leaf.parents:
+                continue
+            readers = [j for j, v in enumerate(events)
+                       if any(p is leaf for p in v.parents)]
+            last = max(readers)
+            assert last < i
+            assert not any(v.parents for v in events[last + 1:i])
+
+    def test_adam_applies_the_tensors_in_walk_order(self, monkeypatch):
+        cfg, params, loss = _toy_loss("full")
+        opt = build_optimizer(params, cfg)
+        calls, apply = [], ad.Adam._apply
+        wide = (params["enc_a_w1"], params["dec_a_w2"])
+
+        def spy(self, name, p):
+            calls.append((name, all(v.grad is not None for v in wide)))
+            apply(self, name, p)
+
+        monkeypatch.setattr(ad.Adam, "_apply", spy)
+        opt.step(loss)
+        # Each tensor right after the last node that reads it, the order in
+        # which the walk leaves them on the full training tape.
+        assert [name for name, _ in calls] == [
+            "clf_w", "clf_b", "att_q", "att_w", "att_b",
+            "dec_a_w2", "dec_a_b2", "dec_a_w1", "dec_a_b1",
+            "dec_x_w2", "dec_x_b2", "dec_x_w1", "dec_x_b1",
+            "enc_a_w2", "enc_a_b2", "enc_a_w1", "enc_a_b1",
+            "enc_x_w2", "enc_x_b2", "enc_x_w1", "enc_x_b1",
+        ]
+        # The two N-wide grads are never alive together.
+        assert not any(both for _, both in calls)
+
+
 class TestOptimizerTensors:
     @pytest.mark.parametrize("ablation", ABLATIONS)
     def test_optimizer_holds_exactly_the_tensors_the_loss_reads(self, ablation):
