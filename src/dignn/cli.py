@@ -25,15 +25,15 @@ from .errors import (
     DignnError, DivergenceError, GraphLoadError, SplitError, UndefinedMetricError,
 )
 from .graphdata import (
-    SynthConfig, gather_batch, load_graph, make_batches, neighbor_label_distribution,
-    normalize_features, save_graph, stratified_split, synth_generate,
+    SynthConfig, load_graph, neighbor_label_distribution, normalize_features,
+    save_graph, stratified_split, synth_generate,
 )
 from . import model as M
 from .model import DignnConfig, DignnParams
 from .rng import seed_streams
 from .trainer import (
-    ABLATIONS, GRADCHECK_VARIANTS, MODES, SCORE_BLOCK, TrainConfig, evaluate,
-    gradcheck, train,
+    ABLATIONS, GRADCHECK_VARIANTS, MODES, TrainConfig, evaluate, gradcheck,
+    score_batches, train,
 )
 
 EXIT_OK = 0
@@ -157,16 +157,13 @@ def build_train_config(cfg: dict) -> TrainConfig:
     return tcfg
 
 
-def _check_memory(graph, mcfg: DignnConfig):
-    """Refuse a model whose parameters and Adam's two moments alone would
-    exceed physical memory, before anything of that size is allocated."""
-    need = 3 * DignnParams.nbytes(graph.num_nodes, graph.feature_dim, mcfg)
+def _check_memory(need: float, what: str, use: str):
+    """Refuse settings ``what`` that need ``need`` bytes for ``use``, more
+    than physical memory, before anything of that size is allocated."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        raise UsageError(
-            f"hidden_dim = {mcfg.hidden_dim} and embed_dim = {mcfg.embed_dim} on "
-            f"{graph.num_nodes} nodes need {need} bytes for the parameters and "
-            f"Adam's two moments, more than the {have} bytes of physical memory")
+        raise UsageError(f"{what} need {need:.0f} bytes for {use}, more than the "
+                         f"{have} bytes of physical memory")
 
 
 def variant_tag(cfg: dict) -> str:
@@ -280,7 +277,10 @@ def cmd_train(args) -> int:
         data_dir = args.data
     tcfg = build_train_config(cfg)
     hashes, graph, split = _load_data(data_dir, cfg, recorded)
-    _check_memory(graph, tcfg.model)
+    mcfg, n = tcfg.model, graph.num_nodes
+    _check_memory(3 * DignnParams.nbytes(n, graph.feature_dim, mcfg),
+                  f"hidden_dim = {mcfg.hidden_dim} and embed_dim = {mcfg.embed_dim} "
+                  f"on {n} nodes", "the parameters and Adam's two moments")
 
     with _output(args.out):
         os.makedirs(args.out, exist_ok=True)
@@ -324,9 +324,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    cfg = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
     try:
-        graph = synth_generate(
-            SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)}))
+        cfg.validate()  # so that the estimate reads finite settings
+        _check_memory(cfg.nbytes(), f"num_nodes = {cfg.num_nodes}, feature_dim = "
+                      f"{cfg.feature_dim} and avg_degree = {cfg.avg_degree}",
+                      "synth_generate's draws")
+        graph = synth_generate(cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     with _output(args.out):
@@ -363,10 +367,9 @@ def cmd_export_embeddings(args) -> int:
         with open(path, "w") as fh:
             fh.write("node_id,label," +
                      ",".join(f"z{i}" for i in range(params.cfg.embed_dim)) + "\n")
-            for ids in make_batches(graph.labeled_ids(), SCORE_BLOCK):
-                batch = gather_batch(graph, ids)
+            for batch in score_batches(graph, graph.labeled_ids()):
                 z = M.forward(params, batch, params.cfg).z.value
-                for nid, lab, row in zip(ids, batch.labels, z.tolist()):
+                for nid, lab, row in zip(batch.node_ids, batch.labels, z.tolist()):
                     fh.write(f"{nid},{lab}," + ",".join(map(repr, row)) + "\n")
 
     _write_atomic(args.out, write)

@@ -92,6 +92,14 @@ class SynthConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
+    def nbytes(self) -> float:
+        """An upper bound on the bytes ``synth_generate`` holds at its peak,
+        computed without drawing anything: the features and a copy of the
+        fraud rows, and the per-edge draws and codes (measured with
+        ``tracemalloc`` and rounded up)."""
+        n, d = self.num_nodes, self.feature_dim
+        return 16 * n * d + 24 * n + 68 * (self.avg_degree * n / 2) + 2 ** 16
+
 
 def build_union_adj(relations: dict[str, np.ndarray], num_nodes: int) -> sp.csr_matrix:
     """Symmetric deduplicated union of all relations, self-loops dropped.

@@ -90,6 +90,13 @@ class TrainHistory:
                                   for x in row) + "\n")
 
 
+def score_batches(graph: FraudGraph, ids):
+    """The batch of each ``SCORE_BLOCK`` of ``ids`` in turn, each gathered
+    as the one before it is done with."""
+    for block in make_batches(ids, SCORE_BLOCK):
+        yield gather_batch(graph, block)
+
+
 def evaluate(params: DignnParams, graph: FraudGraph, ids) -> MetricsReport:
     """Deterministic scores of the given labeled nodes, one forward per
     ``SCORE_BLOCK`` of them, reported together."""
@@ -97,8 +104,8 @@ def evaluate(params: DignnParams, graph: FraudGraph, ids) -> MetricsReport:
     if ids.size == 0:
         raise UndefinedMetricError("no nodes to score")
     preds, scores = [], []
-    for block in make_batches(ids, SCORE_BLOCK):
-        p, s = M.predict(params, gather_batch(graph, block), params.cfg)
+    for batch in score_batches(graph, ids):
+        p, s = M.predict(params, batch, params.cfg)
         preds.append(p)
         scores.append(s)
     return compute_report(np.concatenate(scores), np.concatenate(preds),

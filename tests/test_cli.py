@@ -219,6 +219,8 @@ FAILURES = {
         ("empty_value", _write(b"epochs =\n"), "cfg.txt:1: bad value for epochs: ''"),
         ("wrong_type", _write(b"# n\nbatch_size = 1e3\n"),
          "cfg.txt:2: bad value for batch_size: '1e3'"),
+        ("non_numeric", _write(b"epochs = abc\n"),
+         "{dir}/cfg.txt:1: bad value for epochs: 'abc'"),
         # model.bin stores each dimension as a uint32
         ("hidden_dim_past_uint32", _write(b"hidden_dim = 1000000000000\n"),
          "hidden_dim = 1000000000000 must be >= 1 and < 2**32"),
@@ -253,6 +255,7 @@ FAILURES = {
         ("wrong_type", _json(lambda m: m["config"].update(epochs="3")), "epochs"),
     ]),
     "run manifest": ("run", "manifest.json", EXIT_USAGE, [
+        ("missing", os.remove, "cannot read manifest {dir}/manifest.json"),
         ("empty", _write(b""), "cannot read manifest {dir}/manifest.json"),
         ("not_utf8", _write(b"\xff"), "cannot read manifest {dir}/manifest.json"),
         ("directory", _directory, "cannot read manifest {dir}/manifest.json"),
@@ -425,6 +428,16 @@ class TestSynth:
         assert "one node" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [("--n", "1000", "--avg-degree", "1e12"),
+                                      ("--n", "100000000000000")],
+                             ids=["edges", "nodes"])
+    def test_draws_past_physical_memory_are_usage_error(self, tmp_path, capsys, args):
+        # The first array of each draw would exceed the 128 TiB user address
+        # space, so without the estimate numpy refuses it at once.
+        out = str(tmp_path / "g")
+        _exits(capsys, ["synth", *args, "--out", out], EXIT_USAGE,
+               "bytes for synth_generate's draws, more than the", out)
+
     def test_defaults_are_synth_config_defaults(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "cli")]) == EXIT_OK
         save_graph(synth_generate(SynthConfig()), str(tmp_path / "lib"))
@@ -511,8 +524,9 @@ class TestTrain:
         code = main(["train", "--manifest",
                      os.path.join(trained_run, "manifest.json"), "--out", out2])
         assert code == EXIT_OK
-        assert (Path(out2, "model.bin").read_bytes()
-                == Path(trained_run, "model.bin").read_bytes())
+        for name in ("model.bin", "history.csv", "metrics.json"):
+            assert (Path(out2, name).read_bytes()
+                    == Path(trained_run, name).read_bytes()), name
 
     @pytest.mark.parametrize("row", _rows("manifest"))
     def test_bad_manifest_is_usage_error(self, fails, row):
@@ -559,13 +573,6 @@ class TestTrain:
                             "--out", out], EXIT_DIVERGENCE, "non-finite loss")
         assert sorted(os.listdir(out)) == ["history.csv", "manifest.json"]
 
-    def test_non_numeric_config_value_is_usage_error(self, data_dir, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("epochs = abc\n")
-        out = str(tmp_path / "o")
-        _exits(capsys, ["train", "--data", data_dir, "--config", str(cfg), "--out", out],
-               EXIT_USAGE, "bad value for epochs: 'abc'", out)
-
     def test_invalid_config_is_usage_error_before_manifest(self, data_dir, tmp_path,
                                                             capsys):
         out = str(tmp_path / "o")
@@ -593,39 +600,37 @@ class TestTrain:
         out = str(tmp_path / "o")
         _exits(capsys, ["train", *source, "--out", out], EXIT_USAGE, out=out)
 
-    def test_unformable_split_is_usage_error(self, data_dir, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("train_ratio = 0.5\nval_ratio = 0.5\ntest_ratio = 0.5\n")
-        out = str(tmp_path / "o")
-        _exits(capsys, ["train", "--data", data_dir, "--config", str(cfg),
-                        "--epochs", "1", "--out", out], EXIT_USAGE, "ratios", out)
-
     def test_split_error_leaves_no_manifest(self, data_dir, tmp_path, capsys):
         # A split that cannot be formed; one whose validation set would hold
-        # none of the 57 fraud nodes; and one whose training set would hold
-        # none of a 100-node graph's 12 fraud nodes (round(0.01 * 12) = 0).
-        # Each must fail before --out exists.
+        # none of the 57 fraud nodes, which would leave its AUC undefined; and
+        # one whose training set would hold none of a 100-node graph's 12
+        # fraud nodes (round(0.01 * 12) = 0). Each must fail before any
+        # training and before --out exists, naming the ratios.
         small = str(tmp_path / "small")
         assert main(["synth", "--n", "100", "--dim", "8", "--seed", "3",
                      "--out", small]) == EXIT_OK
-        for i, (data, ratios) in enumerate((
-                (data_dir, (0.5, 0.5, 0.5)),
-                (data_dir, (0.98, 0.01, 0.01)),
-                (small, (0.01, 0.49, 0.5)))):
+        for i, (data, ratios, fragment) in enumerate((
+                (data_dir, (0.5, 0.5, 0.5), "ratios must be three positive values "
+                 "summing to 1: (0.5, 0.5, 0.5)"),
+                (data_dir, (0.98, 0.01, 0.01), "ratios (0.98, 0.01, 0.01) leave "
+                 "class 1 (57 labeled nodes) no validation node"),
+                (small, (0.01, 0.49, 0.5), "ratios (0.01, 0.49, 0.5) leave class 1 "
+                 "(12 labeled nodes) no train node"))):
             cfg = tmp_path / f"cfg{i}.txt"
             cfg.write_text("train_ratio = {}\nval_ratio = {}\ntest_ratio = {}\n"
                            .format(*ratios))
             out = str(tmp_path / f"o{i}")
             _exits(capsys, ["train", "--data", data, "--config", str(cfg),
                             "--epochs", "1", "--batch-size", "64", "--out", out],
-                   EXIT_USAGE, out=out)
+                   EXIT_USAGE, fragment, out)
 
-    def test_out_naming_a_file_is_usage_error(self, data_dir, tmp_path, capsys):
-        out = tmp_path / "o"
-        out.write_text("keep")
-        _exits(capsys, ["train", "--data", data_dir, "--epochs", "1", "--out", str(out)],
-               EXIT_USAGE, f"cannot write {out}")
-        assert out.read_text() == "keep"
+    def test_unformable_split_is_usage_error(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("train_ratio = 0.5\nval_ratio = 0.5\ntest_ratio = 0.5\n")
+        out = str(tmp_path / "o")
+        _exits(capsys, ["train", "--data", data_dir, "--config", str(cfg),
+                        "--epochs", "1", "--out", out], EXIT_USAGE,
+               "ratios must be three positive values summing to 1: (0.5, 0.5, 0.5)", out)
 
     def test_undefined_validation_metric_is_usage_error(self, data_dir, tmp_path,
                                                         capsys):
@@ -639,6 +644,13 @@ class TestTrain:
                         "--epochs", "1", "--batch-size", "64", "--out", out], EXIT_USAGE,
                "ratios (0.98, 0.01, 0.01) leave class 1 (57 labeled nodes) no "
                "validation node", out)
+
+    def test_out_naming_a_file_is_usage_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("keep")
+        _exits(capsys, ["train", "--data", data_dir, "--epochs", "1", "--out", str(out)],
+               EXIT_USAGE, f"cannot write {out}")
+        assert out.read_text() == "keep"
 
 
 @pytest.mark.parametrize("command", [["eval"], ["export-embeddings", "--out", "z.csv"]])
@@ -682,18 +694,6 @@ class TestEval:
             run / "manifest.json")
         _exits(capsys, ["eval", "--run", str(run)], EXIT_LOAD, "features.f32le in")
 
-    def test_missing_manifest_is_usage_error(self, trained_run, tmp_path, capsys):
-        run = _copy_run(trained_run, tmp_path)
-        os.remove(run / "manifest.json")
-        _exits(capsys, ["eval", "--run", str(run)], EXIT_USAGE,
-               f"cannot read manifest {run / 'manifest.json'}")
-
-    def test_out_in_missing_directory_is_usage_error(self, trained_run, tmp_path,
-                                                     capsys):
-        out = str(tmp_path / "absent" / "eval.json")
-        _exits(capsys, ["eval", "--run", trained_run, "--out", out], EXIT_USAGE,
-               f"cannot write {out}", out)
-
     @pytest.mark.parametrize("row", _rows("model.bin size"))
     def test_size_other_than_header_implies_is_load_error(self, fails, row):
         fails(*row)
@@ -717,6 +717,14 @@ def test_run_is_the_only_input(trained_run, tmp_path, capsys, command, flag, val
               "--out", str(tmp_path / "o")])
     assert exc.value.code == EXIT_USAGE
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+def test_out_in_missing_directory_is_usage_error(trained_run, tmp_path, capsys,
+                                                 command):
+    out = str(tmp_path / "absent" / "out")
+    _exits(capsys, [command, "--run", trained_run, "--out", out], EXIT_USAGE,
+           f"cannot write {out}", out)
 
 
 class TestGradcheck:
@@ -799,12 +807,6 @@ class TestExportEmbeddings:
         _exits(capsys, ["export-embeddings", "--run", str(run), "--out",
                         str(tmp_path / "emb.csv")], EXIT_LOAD, str(run / "model.bin"))
         assert os.listdir(tmp_path) == ["run"]
-
-    def test_out_in_missing_directory_is_usage_error(self, trained_run, tmp_path,
-                                                     capsys):
-        out = str(tmp_path / "absent" / "emb.csv")
-        _exits(capsys, ["export-embeddings", "--run", trained_run, "--out", out],
-               EXIT_USAGE, f"cannot write {out}", out)
 
 
 class TestConfigHandling:

@@ -351,6 +351,21 @@ class TestSynthGenerate:
             tracemalloc.stop()
         assert synth_peak <= 1.5 * (union_peak - base)
 
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(num_nodes=5000, feature_dim=8, avg_degree=10, seed=4),
+        # the features and the copy of their fraud rows set this one's peak
+        SynthConfig(num_nodes=3000, feature_dim=64, fraud_rate=0.9, avg_degree=1,
+                    seed=4),
+    ], ids=["edges", "features"])
+    def test_nbytes_bounds_the_peak(self, cfg):
+        tracemalloc.start()
+        try:
+            synth_generate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * cfg.nbytes() <= peak <= cfg.nbytes()
+
 
 class TestNeighborLabelDistribution:
     def test_perfect_homophily(self):
