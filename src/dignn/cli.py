@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
@@ -72,6 +73,9 @@ FAILURE_EXITS = {
     UndefinedMetricError: (EXIT_USAGE, "usage error"),
     GraphLoadError: (EXIT_LOAD, "load error"),
     DivergenceError: (EXIT_DIVERGENCE, "error"),
+    # An allocation past what the process may use, which ``_check_memory``'s
+    # estimates did not foresee (numpy raises a subclass).
+    MemoryError: (EXIT_USAGE, "usage error"),
 }
 
 
@@ -159,11 +163,15 @@ def build_train_config(cfg: dict) -> TrainConfig:
 
 def _check_memory(need: float, what: str, use: str):
     """Refuse settings ``what`` that need ``need`` bytes for ``use``, more
-    than physical memory, before anything of that size is allocated."""
+    than physical memory or the process's address-space limit, before
+    anything of that size is allocated."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        have = min(have, limit)
     if need > have:
         raise UsageError(f"{what} need {need:.0f} bytes for {use}, more than the "
-                         f"{have} bytes of physical memory")
+                         f"{have} bytes of physical memory or address space")
 
 
 def variant_tag(cfg: dict) -> str:
@@ -282,6 +290,7 @@ def cmd_train(args) -> int:
                   f"hidden_dim = {mcfg.hidden_dim} and embed_dim = {mcfg.embed_dim} "
                   f"on {n} nodes", "the parameters and Adam's two moments")
 
+    made = not os.path.isdir(args.out)
     with _output(args.out):
         os.makedirs(args.out, exist_ok=True)
     paths = {name: os.path.join(args.out, fn) for name, fn in (
@@ -303,6 +312,10 @@ def cmd_train(args) -> int:
     except DivergenceError as exc:
         _write_atomic(paths["history"], exc.history.write_csv)
         write_manifest()
+        raise
+    except MemoryError:
+        if made:  # nothing is written into it before training ends
+            os.rmdir(args.out)
         raise
 
     payload = _test_report(cfg, params, graph, split)
@@ -418,7 +431,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(FAILURE_EXITS) as exc:
-        code, prefix = FAILURE_EXITS[type(exc)]
+        code, prefix = next(FAILURE_EXITS[c] for c in type(exc).__mro__
+                            if c in FAILURE_EXITS)
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
 

@@ -8,8 +8,10 @@ import math
 import os
 import struct
 import sys
+import threading
 from dataclasses import dataclass
 from collections import OrderedDict
+from itertools import accumulate
 
 import numpy as np
 
@@ -110,17 +112,27 @@ class DignnParams:
 
     @classmethod
     def init(cls, n_nodes: int, feat_dim: int, cfg: DignnConfig, seed) -> "DignnParams":
-        """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
+        """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases: the bits
+        of one ``glorot`` pass over the tensors in order, drawn as two runs
+        (``_fill_in_two_runs``), the second from the init stream advanced to
+        its first value."""
         cfg.validate()
-        rng = generator(seed)
-        tensors = OrderedDict()
-        for name, a in cls.empty_tensors(n_nodes, feat_dim, cfg).items():
-            if cls.is_bias(name):
-                a[...] = 0.0
-            else:
-                glorot(rng, a)
-            tensors[name] = Var(a)
-        return cls(tensors, n_nodes, feat_dim, cfg)
+        items = list(cls.empty_tensors(n_nodes, feat_dim, cfg).items())
+        # The init stream's draws before each tensor: one per weight value.
+        skips = list(accumulate((0 if cls.is_bias(n) else a.size for n, a in items),
+                                initial=0))
+
+        def draw(lo: int, hi: int):
+            rng = generator(seed, skips[lo])
+            for name, a in items[lo:hi]:
+                if cls.is_bias(name):
+                    a[...] = 0.0
+                else:
+                    glorot(rng, a)
+
+        _fill_in_two_runs([a for _, a in items], draw)
+        return cls(OrderedDict((name, Var(a)) for name, a in items),
+                   n_nodes, feat_dim, cfg)
 
     @staticmethod
     def is_bias(name: str) -> bool:
@@ -151,19 +163,23 @@ class DignnParams:
     def load(cls, path: str) -> "DignnParams":
         """Read a model written by ``save``. Its header, each tensor's header and
         its size must be what ``save`` writes for the ``shape_spec`` its sizes imply,
-        all checked before ``empty_tensors`` allocates the arrays they are read into."""
+        all checked before ``empty_tensors`` allocates the arrays they are read into,
+        which are then read as two runs (``_fill_in_two_runs``)."""
         try:
             fh = open(path, "rb")
         except OSError as exc:
             raise GraphLoadError(f"cannot open model file {path}: {exc}") from exc
-        truncated = GraphLoadError(f"truncated model file: {path}")
+
+        def truncated():
+            return GraphLoadError(f"truncated model file: {path}")
+
         with fh:
             size = os.fstat(fh.fileno()).st_size
             head = fh.read(MODEL_HEADER.size)
             if not head.startswith(MODEL_MAGIC):
                 raise GraphLoadError(f"not a model file: {path}")
             if len(head) < MODEL_HEADER.size:
-                raise truncated
+                raise truncated()
             _, version, n, d_in, d, h, n_tensors, flag = MODEL_HEADER.unpack(head)
             cfg = DignnConfig(embed_dim=d, hidden_dim=h)
             spec = cls.shape_spec(n, d_in, cfg)
@@ -176,26 +192,69 @@ class DignnParams:
                 expected = _tensor_header(name, shape)
                 found = fh.read(len(expected))
                 if found != expected:
-                    raise truncated if len(found) < len(expected) else GraphLoadError(
+                    raise truncated() if len(found) < len(expected) else GraphLoadError(
                         f"unexpected tensor header in {path}: {name!r} of shape "
                         f"{shape} belongs there")
                 offsets.append(fh.tell())
                 end = fh.tell() + 8 * shape[0] * shape[1]
                 if end > size:
-                    raise truncated
+                    raise truncated()
                 fh.seek(end)
             if fh.tell() != size:
                 raise GraphLoadError(f"trailing bytes in model file {path}: {size} "
                                      f"bytes, the last tensor ends at {fh.tell()}")
             tensors = cls.empty_tensors(n, d_in, cfg)
-            for a, offset in zip(tensors.values(), offsets):
-                fh.seek(offset)
-                if fh.readinto(a) != a.nbytes:
-                    raise truncated
-                if sys.byteorder != "little":
-                    a.byteswap(inplace=True)
+            arrays = list(tensors.values())
+
+            def read(lo: int, hi: int):
+                # Positional reads of the descriptor checked above, so a file
+                # moved to ``path`` since then is never read.
+                for a, offset in zip(arrays[lo:hi], offsets[lo:hi]):
+                    buf = memoryview(a).cast("B")
+                    done = 0
+                    while done < buf.nbytes:
+                        got = os.preadv(fh.fileno(), [buf[done:]], offset + done)
+                        if got == 0:
+                            raise truncated()
+                        done += got
+                    if sys.byteorder != "little":
+                        a.byteswap(inplace=True)
+
+            _fill_in_two_runs(arrays, read)
         return cls(OrderedDict((name, Var(a)) for name, a in tensors.items()),
                    n, d_in, cfg)
+
+
+def _fill_in_two_runs(arrays: list[np.ndarray], fill):
+    """Have ``fill(lo, hi)``, which fills ``arrays[lo:hi]`` and allocates
+    nothing large, fill the arrays as two runs split at the array boundary
+    nearest half of their values: the calling thread fills the first run
+    while one worker thread fills the second, or, if no thread can start,
+    after it. Both runs end before any error is raised, the calling thread's
+    first."""
+    ends = list(accumulate(a.size for a in arrays))
+    k = 1 + min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1]))
+    errors = []
+
+    def second_run():
+        try:
+            fill(k, len(arrays))
+        except Exception as exc:
+            errors.append(exc)
+
+    worker = threading.Thread(target=second_run)
+    try:
+        worker.start()
+    except RuntimeError:  # "can't start new thread", say under a memory limit
+        fill(0, k)
+        fill(k, len(arrays))
+        return
+    try:
+        fill(0, k)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
 def _file_header(n_nodes: int, feat_dim: int, cfg: DignnConfig,

@@ -18,6 +18,11 @@ def seed_streams(root_seed: int) -> dict[str, np.random.SeedSequence]:
     return dict(zip(STREAM_NAMES, children))
 
 
-def generator(seed) -> np.random.Generator:
-    """Philox generator from an int or SeedSequence."""
-    return np.random.Generator(np.random.Philox(seed))
+def generator(seed, skip: int = 0) -> np.random.Generator:
+    """Philox generator from an int or SeedSequence, past the first ``skip``
+    64-bit draws of its stream (one per ``random`` value)."""
+    bits = np.random.Philox(seed)
+    bits.advance(skip // 4)  # one counter step yields four 64-bit draws
+    rng = np.random.Generator(bits)
+    rng.random(skip % 4)
+    return rng

@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shutil
 import struct
 import subprocess
 import sys
+import threading
 from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
@@ -22,6 +24,7 @@ from dignn.cli import (
     UsageError, _write_atomic, build_train_config, main, read_config_file,
     resolve_config, variant_tag,
 )
+from dignn.errors import GraphLoadError
 from dignn.graphdata import (
     SynthConfig, gather_batch, load_graph, normalize_features, save_graph,
     stratified_split, synth_generate,
@@ -706,6 +709,33 @@ class TestEval:
     def test_unverified_model_is_load_error(self, fails, row):
         fails(*row)
 
+    def test_truncation_met_by_the_worker_is_load_error(self, trained_run, tmp_path,
+                                                        capsys, monkeypatch):
+        # model.bin loses its last value after its size was checked, so the
+        # second run, which the worker thread reads, meets the file's end.
+        run = _copy_run(trained_run, tmp_path)
+        path = run / "model.bin"
+        fill_in_two_runs = M._fill_in_two_runs
+        raised_on_main = []
+
+        def truncate_then_fill(arrays, fill):
+            os.truncate(path, path.stat().st_size - 8)
+
+            def watched(lo, hi):
+                try:
+                    fill(lo, hi)
+                except GraphLoadError:
+                    raised_on_main.append(
+                        threading.current_thread() is threading.main_thread())
+                    raise
+
+            fill_in_two_runs(arrays, watched)
+
+        monkeypatch.setattr(M, "_fill_in_two_runs", truncate_then_fill)
+        _exits(capsys, ["eval", "--run", str(run)], EXIT_LOAD,
+               f"truncated model file: {path}")
+        assert raised_on_main == [False]
+
 
 @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
 @pytest.mark.parametrize("flag, value", [
@@ -725,6 +755,41 @@ def test_out_in_missing_directory_is_usage_error(trained_run, tmp_path, capsys,
     out = str(tmp_path / "absent" / "out")
     _exits(capsys, [command, "--run", trained_run, "--out", out], EXIT_USAGE,
            f"cannot write {out}", out)
+
+
+@pytest.mark.parametrize("argv, config, limit, fragment", [
+    # synth's own estimate (680 MB) is within the limit; the interpreter's
+    # mappings are not, so a draw fails.
+    (["synth", "--n", "1000", "--avg-degree", "20000"], None, 700_000_000,
+     "Unable to allocate"),
+    # 1.3 GB of parameters and moments: the guard refuses them.
+    (["train"], "hidden_dim = 100000", 1_000_000_000,
+     "need 1315234224 bytes for the parameters and Adam's two moments, more than "
+     "the 1000000000 bytes"),
+    # 0.4 GB of parameters and moments pass; the 6.7 GiB Gramian of the
+    # topology decoder's output layer then fails, after --out was made.
+    (["train"], "hidden_dim = 30000", 1_000_000_000, "Unable to allocate"),
+], ids=["synth", "train_guard", "train_allocation"])
+def test_allocation_past_the_address_space_limit_is_usage_error(
+        data_dir, tmp_path, argv, config, limit, fragment):
+    out = tmp_path / "o"
+    if config:
+        (tmp_path / "cfg.txt").write_text(config + "\n")
+        argv = [*argv, "--data", data_dir, "--config", str(tmp_path / "cfg.txt")]
+
+    def cap():  # in the child: OpenBLAS's one thread maps little
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "dignn.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))})
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("usage error: ") and "Traceback" not in proc.stderr
+    assert fragment in proc.stderr, proc.stderr
+    assert not out.exists()
 
 
 class TestGradcheck:

@@ -1,5 +1,8 @@
 import math
+import os
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +14,7 @@ import dignn.model as M
 from dignn.errors import DimensionError, GraphLoadError
 from dignn.graphdata import BatchSubgraph
 from dignn.model import DignnConfig, DignnParams
-from dignn.rng import generator
+from dignn.rng import generator, seed_streams
 from dignn.trainer import gradcheck
 
 
@@ -123,15 +126,19 @@ class TestParams:
         assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
 
     def test_init_draws_glorot_uniform(self):
-        # The weights init draws in place are the bits of rng.uniform.
-        cfg = small_cfg()
-        p = DignnParams.init(6, 4, cfg, seed=3)
-        rng = generator(3)
-        for name, shape in DignnParams.shape_spec(6, 4, cfg):
-            if not DignnParams.is_bias(name):
-                limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-                assert np.array_equal(p[name].value,
-                                      rng.uniform(-limit, limit, size=shape)), name
+        # The weights init draws in place are the bits of rng.uniform, drawn
+        # from one stream in shape_spec order. In the second case both runs
+        # hold over a million draws, and the seed is a SeedSequence, as
+        # train passes.
+        for n, d, cfg, seed in [(6, 4, small_cfg(), 3),
+                                (20_000, 8, DignnConfig(), seed_streams(5)["init"])]:
+            p = DignnParams.init(n, d, cfg, seed=seed)
+            rng = generator(seed)
+            for name, shape in DignnParams.shape_spec(n, d, cfg):
+                if not DignnParams.is_bias(name):
+                    limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+                    assert np.array_equal(p[name].value,
+                                          rng.uniform(-limit, limit, size=shape)), name
 
     def test_init_and_load_allocate_only_the_tensors(self, tmp_path):
         cfg = DignnConfig()
@@ -179,6 +186,76 @@ def assert_decoder_layer_joined(p):
     ``ad.sparse_target_mse`` requires."""
     w1 = ad._joined_rows(p["dec_a_w2"].value, p["dec_a_b2"].value)
     assert w1.shape == (p.cfg.hidden_dim + 1, p.n_nodes)
+
+
+class TestTwoRuns:
+    """``init`` and ``load`` fill the tensors as two runs, the second on a
+    worker thread."""
+
+    @pytest.mark.parametrize("skip", [*range(8), 2 ** 20 + 3])
+    def test_skipped_generator_continues_the_stream(self, skip):
+        drawn = generator(7).random(skip + 9)
+        assert np.array_equal(generator(7, skip).random(9), drawn[skip:])
+
+    def test_runs_split_at_the_decoder_output_layer_at_yelpchi_scale(self):
+        # The topology encoder and the small tensors (2.95 M values) against
+        # the decoder's output layer and the rest (2.99 M).
+        tensors = DignnParams.empty_tensors(45_954, 32, DignnConfig())
+        runs = []
+        M._fill_in_two_runs(list(tensors.values()),
+                            lambda lo, hi: runs.append((lo, hi)))
+        assert sorted(runs) == [(0, 15), (15, 21)]
+        assert list(tensors)[15] == "dec_a_w2"
+
+    def test_without_a_thread_the_caller_fills_both_runs(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "m.bin")
+        cfg = DignnConfig()
+        threaded = DignnParams.init(2000, 8, cfg, seed=4)
+        threaded.save(path)
+        started = []
+
+        def refuse(thread):
+            started.append(thread)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for p in (DignnParams.init(2000, 8, cfg, seed=4), DignnParams.load(path)):
+            for name, var in threaded.tensors.items():
+                assert np.array_equal(p[name].value, var.value), name
+        assert len(started) == 2
+
+    def test_load_never_reads_a_file_moved_over_the_checked_one(self, tmp_path,
+                                                                monkeypatch):
+        path, other = str(tmp_path / "m.bin"), str(tmp_path / "other.bin")
+        cfg = DignnConfig()
+        checked = DignnParams.init(2000, 8, cfg, seed=1)
+        checked.save(path)
+        DignnParams.init(2000, 8, cfg, seed=2).save(other)
+        fill_in_two_runs = M._fill_in_two_runs
+
+        def replace_then_fill(arrays, fill):  # after every header check
+            os.replace(other, path)
+            fill_in_two_runs(arrays, fill)
+
+        monkeypatch.setattr(M, "_fill_in_two_runs", replace_then_fill)
+        loaded = DignnParams.load(path)
+        for name, var in checked.tensors.items():
+            assert np.array_equal(loaded[name].value, var.value), name
+
+    def test_callers_error_is_raised_after_the_worker_ends(self):
+        arrays = [np.empty(4), np.empty(4)]
+        ended = []
+
+        def fill(lo, hi):
+            if lo == 0:
+                raise GraphLoadError("first")
+            time.sleep(0.05)
+            ended.append(threading.current_thread() is not threading.main_thread())
+            raise GraphLoadError("second")
+
+        with pytest.raises(GraphLoadError, match="first"):
+            M._fill_in_two_runs(arrays, fill)
+        assert ended == [True]
 
 
 class TestJoinedDecoderLayer:
