@@ -11,9 +11,12 @@ targets of ``mse`` and ``sparse_target_mse`` and ``ce_with_logits``' labels.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import scipy.sparse as sp
 
+from . import threads
 from .errors import DimensionError, InvalidLabelError
 
 
@@ -368,7 +371,8 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros(v.shape) for k, v in self.params.items()}
         self.v = {k: np.zeros(v.shape) for k, v in self.params.items()}
-        self._scratch = np.empty((2, ADAM_CHUNK))
+        # One scratch pair for the calling thread, one for the worker.
+        self._scratch = np.empty((2, 2, ADAM_CHUNK))
 
     def zero_grad(self):
         for p in self.params.values():
@@ -396,19 +400,35 @@ class Adam:
 
         Each value takes, in this order, g = grad + wd*p,
         m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-        p -= (lr*(m/c1)) / (sqrt(v/c2) + eps) with ci = 1 - bi**t. Every
-        value's arithmetic is the same whatever the chunking, and nothing
-        larger than the two chunk-sized scratch buffers is allocated.
+        p -= (lr*(m/c1)) / (sqrt(v/c2) + eps) with ci = 1 - bi**t. A tensor
+        of at least two chunks is split at the chunk boundary nearest half,
+        and the worker updates the second part (``threads.run_in_two``), each
+        part with its own scratch pair. Every value's arithmetic is the same
+        whatever the chunking or the split, and nothing larger than the
+        scratch pairs is allocated.
         """
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
         decay = self.weight_decay if name not in self.no_decay else 0.0
-        state = (p.value, p.grad, self.m[name], self.v[name])
-        flat = [a.reshape(-1) for a in state]
-        for lo in range(0, p.value.size, ADAM_CHUNK):
-            pc, gc, mc, vc = (a[lo:lo + ADAM_CHUNK] for a in flat)
-            s, u = (buf[:pc.size] for buf in self._scratch)
+        flat = [a.reshape(-1) for a in (p.value, p.grad, self.m[name], self.v[name])]
+        update = partial(self._update, flat, decay, c1, c2)
+        size = p.value.size
+        if size < 2 * ADAM_CHUNK:
+            update(0, size, self._scratch[0])
+        else:
+            half = (size + ADAM_CHUNK) // (2 * ADAM_CHUNK) * ADAM_CHUNK
+            threads.run_in_two(partial(update, 0, half, self._scratch[0]),
+                               partial(update, half, size, self._scratch[1]))
+        p.grad = None
+
+    def _update(self, flat, decay, c1, c2, start, stop, scratch):
+        """``_apply``'s update of the flat range [start, stop) of p, g, m and
+        v (``flat``), in chunks, with the (2, ``ADAM_CHUNK``) ``scratch``."""
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        for lo in range(start, stop, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, stop)
+            pc, gc, mc, vc = (a[lo:hi] for a in flat)
+            s, u = (buf[:hi - lo] for buf in scratch)
             if decay:
                 np.multiply(pc, decay, out=s)
                 gc = np.add(gc, s, out=s)
@@ -425,4 +445,3 @@ class Adam:
             u += eps
             s /= u
             pc -= s
-        p.grad = None

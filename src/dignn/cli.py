@@ -286,9 +286,16 @@ def cmd_train(args) -> int:
     tcfg = build_train_config(cfg)
     hashes, graph, split = _load_data(data_dir, cfg, recorded)
     mcfg, n = tcfg.model, graph.num_nodes
-    _check_memory(3 * DignnParams.nbytes(n, graph.feature_dim, mcfg),
-                  f"hidden_dim = {mcfg.hidden_dim} and embed_dim = {mcfg.embed_dim} "
-                  f"on {n} nodes", "the parameters and Adam's two moments")
+    need = 3 * DignnParams.nbytes(n, graph.feature_dim, mcfg)
+    use = "the parameters and Adam's two moments"
+    if tcfg.ablation == "full":
+        # The topology decoder's loss holds three (hidden_dim + 1)^2 arrays
+        # at once: W1 W1^T, the Gramian h1^T h1 and its scaled copy.
+        need += 3 * 8 * (mcfg.hidden_dim + 1) ** 2
+        use = ("the parameters, Adam's two moments and the topology decoder's "
+               "three (hidden_dim + 1)^2 Gramian arrays")
+    _check_memory(need, f"hidden_dim = {mcfg.hidden_dim} and embed_dim = "
+                  f"{mcfg.embed_dim} on {n} nodes", use)
 
     made = not os.path.isdir(args.out)
     with _output(args.out):

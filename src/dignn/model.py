@@ -8,14 +8,15 @@ import math
 import os
 import struct
 import sys
-import threading
 from dataclasses import dataclass
 from collections import OrderedDict
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
 
 from . import autodiff as ad
+from . import threads
 from .autodiff import Var
 from .errors import GraphLoadError
 from .graphdata import BatchSubgraph, require_finite_floats
@@ -228,33 +229,11 @@ class DignnParams:
 def _fill_in_two_runs(arrays: list[np.ndarray], fill):
     """Have ``fill(lo, hi)``, which fills ``arrays[lo:hi]`` and allocates
     nothing large, fill the arrays as two runs split at the array boundary
-    nearest half of their values: the calling thread fills the first run
-    while one worker thread fills the second, or, if no thread can start,
-    after it. Both runs end before any error is raised, the calling thread's
-    first."""
+    nearest half of their values, the second on the worker
+    (``threads.run_in_two``)."""
     ends = list(accumulate(a.size for a in arrays))
     k = 1 + min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1]))
-    errors = []
-
-    def second_run():
-        try:
-            fill(k, len(arrays))
-        except Exception as exc:
-            errors.append(exc)
-
-    worker = threading.Thread(target=second_run)
-    try:
-        worker.start()
-    except RuntimeError:  # "can't start new thread", say under a memory limit
-        fill(0, k)
-        fill(k, len(arrays))
-        return
-    try:
-        fill(0, k)
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
+    threads.run_in_two(partial(fill, 0, k), partial(fill, k, len(arrays)))
 
 
 def _file_header(n_nodes: int, feat_dim: int, cfg: DignnConfig,

@@ -18,6 +18,7 @@ from .graphdata import (
 from .metrics import MetricsReport, compute_report
 from .model import DignnConfig, DignnParams
 from .rng import generator, seed_streams
+from .threads import one_blas_thread
 
 ABLATIONS = ("full", "no_mi")
 MODES = ("minibatch", "fullbatch")
@@ -97,9 +98,12 @@ def score_batches(graph: FraudGraph, ids):
         yield gather_batch(graph, block)
 
 
+@one_blas_thread()
 def evaluate(params: DignnParams, graph: FraudGraph, ids) -> MetricsReport:
     """Deterministic scores of the given labeled nodes, one forward per
-    ``SCORE_BLOCK`` of them, reported together."""
+    ``SCORE_BLOCK`` of them, reported together. OpenBLAS runs on one thread
+    here, as in ``train``, between whose calls it runs: a product split over
+    two threads would leave one spinning into the next call."""
     ids = np.asarray(ids)
     if ids.size == 0:
         raise UndefinedMetricError("no nodes to score")
@@ -142,9 +146,15 @@ def build_optimizer(params: DignnParams, cfg: TrainConfig) -> ad.Adam:
                    no_decay=params.no_decay_names())
 
 
+@one_blas_thread()
 def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
     """Run the full training schedule; return the best-validation parameters
-    and the per-epoch history."""
+    and the per-epoch history.
+
+    OpenBLAS runs on one thread here (``threads.one_blas_thread``), so the
+    second core is free for the worker that ``DignnParams.init`` and Adam's
+    update use: the step's products are small, and a product split over two
+    threads leaves one spinning on that core for about 128 ms."""
     cfg.validate()
     streams = seed_streams(cfg.seed)
     params = DignnParams.init(graph.num_nodes, graph.feature_dim, cfg.model,

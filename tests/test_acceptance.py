@@ -195,31 +195,64 @@ def test_criterion_7_determinism(tmp_path, capsys):
     assert report(7, "determinism", same)
 
 
+# Put on a child's PYTHONPATH: no thread can start, so dignn's worker never
+# does, and each refusal is noted in the file that REFUSED_LOG names.
+REFUSE_THREADS = """
+import os, threading
+
+def refuse(thread):
+    with open(os.environ["REFUSED_LOG"], "a") as fh:
+        fh.write("refused\\n")
+    raise RuntimeError("can't start new thread")
+
+threading.Thread.start = refuse
+"""
+
+
 def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """A run trained under one OpenBLAS thread, under two, and under two
-    pinned to one CPU writes the same ``model.bin``. At this size OpenBLAS
-    does split the GEMMs: on a 2-core host the ``OPENBLAS_NUM_THREADS=2``
-    child used 0.43 s of CPU in 0.24 s of wall time, against 0.24 s in
-    0.24 s at ``=1`` and pinned. The pinned case is left out where
-    ``os.sched_setaffinity`` is missing."""
+    """A run trained under one OpenBLAS thread, under two, under two pinned
+    to one CPU, and under two with no thread allowed to start writes the same
+    ``model.bin``; so does a ``fullbatch`` run under one thread and under two.
+
+    ``train`` holds OpenBLAS at one thread whatever ``OPENBLAS_NUM_THREADS``
+    says, so no child splits a product. On a 2-core host the ``=2`` child
+    used 0.38 s of CPU in 0.24 s of wall time, and 0.37 s with no thread
+    allowed to start, against 0.24 s in 0.24 s at ``=1``: the excess is
+    OpenBLAS's own threads, which spin for about 128 ms after numpy loads
+    them, before ``train`` runs. dignn's worker, which draws half of the
+    parameters and applies half of each large Adam update, adds too little at
+    this size to show. The pinned child has no worker (one CPU), and the
+    refused one runs both halves on the calling thread. Before ``train``
+    held OpenBLAS at one thread, the ``fullbatch`` run, whose products over
+    all 1,200 training rows OpenBLAS split, wrote other bytes under ``=2``
+    than under ``=1``. The pinned case is left out where ``os.sched_setaffinity`` is
+    missing."""
     data = str(tmp_path / "g")
     assert main(["synth", "--n", "3000", "--dim", "16", "--seed", "3",
                  "--out", data]) == EXIT_OK
+    (tmp_path / "refuse").mkdir()
+    (tmp_path / "refuse" / "sitecustomize.py").write_text(REFUSE_THREADS)
+    src = os.path.dirname(os.path.dirname(M.__file__))
+    refused = os.pathsep.join([str(tmp_path / "refuse"), src])
+    refused_log = tmp_path / "refused.log"
 
     def pin():
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-    cases = [("1", None), ("2", None)]
+    cases = [("minibatch", "1", None, src), ("minibatch", "2", None, src),
+             ("minibatch", "2", None, refused),
+             ("fullbatch", "1", None, src), ("fullbatch", "2", None, src)]
     if hasattr(os, "sched_setaffinity"):
-        cases.append(("2", pin))
-    blobs = []
-    for i, (threads, preexec_fn) in enumerate(cases):
+        cases.append(("minibatch", "2", pin, src))
+    blobs = {"minibatch": set(), "fullbatch": set()}
+    for i, (mode, blas, preexec_fn, path) in enumerate(cases):
         out = tmp_path / f"run{i}"
         subprocess.run(
             [sys.executable, "-m", "dignn.cli", "train", "--data", data,
-             "--epochs", "2", "--seed", "5", "--out", str(out)],
+             "--epochs", "2", "--seed", "5", "--mode", mode, "--out", str(out)],
             check=True, capture_output=True, timeout=120, preexec_fn=preexec_fn,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                 "PYTHONPATH": os.path.dirname(os.path.dirname(M.__file__))})
-        blobs.append((out / "model.bin").read_bytes())
-    assert len(set(blobs)) == 1
+            env={**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": path,
+                 "REFUSED_LOG": str(refused_log)})
+        blobs[mode].add((out / "model.bin").read_bytes())
+    assert [len(b) for b in blobs.values()] == [1, 1]
+    assert refused_log.read_text().count("refused") >= 2  # init's, then Adam's

@@ -760,7 +760,8 @@ class TestAdam:
                                      t["w_top"], None)))
         assert held == [("w_top", ["w_top"]), ("w_deep", ["w_deep"])]
 
-    def test_step_allocates_no_full_size_temporary(self):
+    def test_step_allocates_no_full_size_temporary(self, worker):
+        # p is split, and the worker updates its second half.
         rng = np.random.default_rng(0)
         p = ad.Var(rng.standard_normal((2_000_000 // 64, 64)))
         loss = injected_loss((p, rng.standard_normal(p.shape)))

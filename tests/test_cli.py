@@ -312,6 +312,34 @@ FAILURES.update({f"--out {name}": ("out", name, EXIT_USAGE, [
     ("directory", _directory, f"cannot write {{dir}}/{name}")])
     for name in ("model.bin", "history.csv", "metrics.json", "manifest.json")})
 
+# Commands run under an address-space limit (``RLIMIT_AS``), set in the
+# child that runs each one, so that no row depends on the host's memory:
+# the rows of ``test_allocation_past_the_address_space_limit_is_usage_error``.
+# Each change is the command's arguments, a config file's text and the limit.
+FAILURES["address space limit"] = ("limit", None, EXIT_USAGE, [
+    # synth's own estimate (680 MB) is within the limit; the interpreter's
+    # mappings are not, so a draw fails.
+    ("synth", (["synth", "--n", "1000", "--avg-degree", "20000"], None, 700_000_000),
+     "Unable to allocate"),
+    # 1.3 GB of parameters and moments, and 240 GB of Gramian arrays: the
+    # guard refuses them.
+    ("train_guard", (["train"], "hidden_dim = 100000", 1_000_000_000),
+     "need 241320034248 bytes for the parameters, Adam's two moments and the "
+     "topology decoder's three (hidden_dim + 1)^2 Gramian arrays, more than the "
+     "1000000000 bytes"),
+    # 0.39 GB of parameters and moments, but 21.6 GB of the topology
+    # decoder's (30001, 30001) Gramian arrays: the guard refuses them too.
+    ("train_gramian", (["train"], "hidden_dim = 30000", 1_000_000_000),
+     "hidden_dim = 30000 and embed_dim = 32 on 200 nodes need 21996034248 bytes "
+     "for the parameters, Adam's two moments and the topology decoder's three "
+     "(hidden_dim + 1)^2 Gramian arrays"),
+    # 0.94 GB of parameters, moments and Gramian arrays pass the guard; with
+    # the interpreter's own mappings, a (6001, 6001) array then fails, after
+    # --out was made.
+    ("train_allocation", (["train"], "hidden_dim = 6000", 1_000_000_000),
+     "Unable to allocate"),
+])
+
 
 def _rows(*groups):
     """The rows of ``groups`` as parameters of ``fails``, with the group's
@@ -709,8 +737,8 @@ class TestEval:
     def test_unverified_model_is_load_error(self, fails, row):
         fails(*row)
 
-    def test_truncation_met_by_the_worker_is_load_error(self, trained_run, tmp_path,
-                                                        capsys, monkeypatch):
+    def test_truncation_met_by_the_worker_is_load_error(self, worker, trained_run,
+                                                        tmp_path, capsys, monkeypatch):
         # model.bin loses its last value after its size was checked, so the
         # second run, which the worker thread reads, meets the file's end.
         run = _copy_run(trained_run, tmp_path)
@@ -757,21 +785,10 @@ def test_out_in_missing_directory_is_usage_error(trained_run, tmp_path, capsys,
            f"cannot write {out}", out)
 
 
-@pytest.mark.parametrize("argv, config, limit, fragment", [
-    # synth's own estimate (680 MB) is within the limit; the interpreter's
-    # mappings are not, so a draw fails.
-    (["synth", "--n", "1000", "--avg-degree", "20000"], None, 700_000_000,
-     "Unable to allocate"),
-    # 1.3 GB of parameters and moments: the guard refuses them.
-    (["train"], "hidden_dim = 100000", 1_000_000_000,
-     "need 1315234224 bytes for the parameters and Adam's two moments, more than "
-     "the 1000000000 bytes"),
-    # 0.4 GB of parameters and moments pass; the 6.7 GiB Gramian of the
-    # topology decoder's output layer then fails, after --out was made.
-    (["train"], "hidden_dim = 30000", 1_000_000_000, "Unable to allocate"),
-], ids=["synth", "train_guard", "train_allocation"])
-def test_allocation_past_the_address_space_limit_is_usage_error(
-        data_dir, tmp_path, argv, config, limit, fragment):
+@pytest.mark.parametrize("row", _rows("address space limit"))
+def test_allocation_past_the_address_space_limit_is_usage_error(data_dir, tmp_path,
+                                                                row):
+    _, _, code, (argv, config, limit), fragment = row
     out = tmp_path / "o"
     if config:
         (tmp_path / "cfg.txt").write_text(config + "\n")
@@ -786,7 +803,7 @@ def test_allocation_past_the_address_space_limit_is_usage_error(
         capture_output=True, text=True, timeout=60, preexec_fn=cap,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
              "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))})
-    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("usage error: ") and "Traceback" not in proc.stderr
     assert fragment in proc.stderr, proc.stderr
     assert not out.exists()

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 import dignn.autodiff as ad
 import dignn.model as M
+from dignn import threads
 from dignn.errors import DimensionError, GraphLoadError
 from dignn.graphdata import BatchSubgraph
 from dignn.model import DignnConfig, DignnParams
@@ -189,7 +190,7 @@ def assert_decoder_layer_joined(p):
 
 
 class TestTwoRuns:
-    """``init`` and ``load`` fill the tensors as two runs, the second on a
+    """``init`` and ``load`` fill the tensors as two runs, the second on the
     worker thread."""
 
     @pytest.mark.parametrize("skip", [*range(8), 2 ** 20 + 3])
@@ -207,7 +208,8 @@ class TestTwoRuns:
         assert sorted(runs) == [(0, 15), (15, 21)]
         assert list(tensors)[15] == "dec_a_w2"
 
-    def test_without_a_thread_the_caller_fills_both_runs(self, tmp_path, monkeypatch):
+    def test_without_a_thread_the_caller_fills_both_runs(self, worker, tmp_path,
+                                                         monkeypatch):
         path = str(tmp_path / "m.bin")
         cfg = DignnConfig()
         threaded = DignnParams.init(2000, 8, cfg, seed=4)
@@ -218,6 +220,7 @@ class TestTwoRuns:
             started.append(thread)
             raise RuntimeError("can't start new thread")
 
+        monkeypatch.setattr(threads, "_worker", None)  # so that one must start
         monkeypatch.setattr(threading.Thread, "start", refuse)
         for p in (DignnParams.init(2000, 8, cfg, seed=4), DignnParams.load(path)):
             for name, var in threaded.tensors.items():
@@ -242,7 +245,7 @@ class TestTwoRuns:
         for name, var in checked.tensors.items():
             assert np.array_equal(loaded[name].value, var.value), name
 
-    def test_callers_error_is_raised_after_the_worker_ends(self):
+    def test_callers_error_is_raised_after_the_worker_ends(self, worker):
         arrays = [np.empty(4), np.empty(4)]
         ended = []
 
