@@ -371,7 +371,7 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros(v.shape) for k, v in self.params.items()}
         self.v = {k: np.zeros(v.shape) for k, v in self.params.items()}
-        # One scratch pair for the calling thread, one for the worker.
+        # One scratch pair for each part of a split update.
         self._scratch = np.empty((2, 2, ADAM_CHUNK))
 
     def zero_grad(self):
@@ -402,10 +402,10 @@ class Adam:
         m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
         p -= (lr*(m/c1)) / (sqrt(v/c2) + eps) with ci = 1 - bi**t. A tensor
         of at least two chunks is split at the chunk boundary nearest half,
-        and the worker updates the second part (``threads.run_in_two``), each
-        part with its own scratch pair. Every value's arithmetic is the same
-        whatever the chunking or the split, and nothing larger than the
-        scratch pairs is allocated.
+        and a thread started for the call updates the second part
+        (``threads.run_in_two``), each part with its own scratch pair. Every
+        value's arithmetic is the same whatever the chunking or the split,
+        and nothing larger than the scratch pairs is allocated.
         """
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t

@@ -229,7 +229,7 @@ class DignnParams:
 def _fill_in_two_runs(arrays: list[np.ndarray], fill):
     """Have ``fill(lo, hi)``, which fills ``arrays[lo:hi]`` and allocates
     nothing large, fill the arrays as two runs split at the array boundary
-    nearest half of their values, the second on the worker
+    nearest half of their values, the second on a thread of its own
     (``threads.run_in_two``)."""
     ends = list(accumulate(a.size for a in arrays))
     k = 1 + min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1]))

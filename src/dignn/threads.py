@@ -1,18 +1,18 @@
-"""Both cores for training: dignn's one worker thread, and OpenBLAS held at
+"""Both cores for training: one thread per split job, and OpenBLAS held at
 one thread while training runs.
 
-``run_in_two`` runs two halves of one job at once, the second on a worker
-thread that each process starts once, on first use. ``one_blas_thread``
-sets the OpenBLAS that numpy's products call to one thread for its scope:
-after a product that OpenBLAS split over two threads, its idle thread spins
-on the second core for about 128 ms, which is where the worker would run.
+``run_in_two`` runs two halves of one job at once, the second on a thread
+that the call starts and joins, so no dignn thread outlives a call.
+``one_blas_thread`` sets the OpenBLAS that numpy's products call to one
+thread for its scope: after a product that OpenBLAS split over two threads,
+its idle thread spins on the second core for about 128 ms, which is where
+the second half would run.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import queue
 import threading
 from contextlib import contextmanager
 
@@ -81,76 +81,37 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Worker:
-    """One daemon thread that runs the tasks put on its queue, in order."""
-
-    def __init__(self):
-        self.pid = os.getpid()
-        self.tasks = queue.SimpleQueue()
-        self.thread = threading.Thread(target=self._serve, name="dignn-worker",
-                                       daemon=True)
-        self.thread.start()
-
-    def _serve(self):
-        while True:
-            task, done = self.tasks.get()
-            try:
-                task()
-            finally:
-                # Drop what the task holds (Adam's grad, say) before the
-                # caller goes on, not when the next task comes.
-                task = None
-                done.set()
-
-
-_worker = None  # this process's worker, started by the first run_in_two
-
-
-def _current_worker():
-    """The process's worker, started here if this process has none: a forked
-    child does not have its parent's thread. None where the process may run
-    on one CPU only, or no thread can start (``RuntimeError``, say under a
-    memory limit); a later call tries again. Two threads that find no worker
-    at once may each start one: each uses its own, and the one not kept
-    idles."""
-    global _worker
-    worker = _worker
-    if worker is None or worker.pid != os.getpid():
-        worker = None
-        if _cpus() > 1:
-            try:
-                worker = _Worker()
-            except RuntimeError:
-                pass
-        _worker = worker
-    return worker
-
-
 def run_in_two(first, second):
-    """Run ``first()`` on the calling thread while the worker runs
-    ``second()``, or, where there is no worker, ``second()`` after
-    ``first()``. Both end before any error is raised, the caller's first.
+    """Run ``first()`` on the calling thread while a thread started for this
+    call runs ``second()``, joined before the call returns; or ``second()``
+    after ``first()`` on the calling thread, where the process may run on one
+    CPU only or no thread can start (``RuntimeError``, say under a memory
+    limit). Both end before any error is raised, the caller's first.
 
-    The two must not share what they write, and the worker allocates
+    The two must not share what they write, and the thread allocates
     nothing for them: the caller allocates what ``second`` fills."""
-    worker = _current_worker()
-    if worker is None or threading.current_thread() is worker.thread:
-        first()
-        second()
-        return
     errors = []
 
-    def task():
+    def run_second():
         try:
             second()
         except BaseException as exc:
             errors.append(exc)
 
-    done = threading.Event()
-    worker.tasks.put((task, done))
+    thread = None
+    if _cpus() > 1:
+        thread = threading.Thread(target=run_second, name="dignn-split")
+        try:
+            thread.start()
+        except RuntimeError:
+            thread = None
+    if thread is None:
+        first()
+        second()
+        return
     try:
         first()
     finally:
-        done.wait()
+        thread.join()
     if errors:
         raise errors[0]

@@ -195,8 +195,9 @@ def test_criterion_7_determinism(tmp_path, capsys):
     assert report(7, "determinism", same)
 
 
-# Put on a child's PYTHONPATH: no thread can start, so dignn's worker never
-# does, and each refusal is noted in the file that REFUSED_LOG names.
+# Put on a child's PYTHONPATH: no thread can start, so dignn runs both halves
+# of each split on the calling thread, and each refusal is noted in the file
+# that REFUSED_LOG names.
 REFUSE_THREADS = """
 import os, threading
 
@@ -219,14 +220,14 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
     used 0.38 s of CPU in 0.24 s of wall time, and 0.37 s with no thread
     allowed to start, against 0.24 s in 0.24 s at ``=1``: the excess is
     OpenBLAS's own threads, which spin for about 128 ms after numpy loads
-    them, before ``train`` runs. dignn's worker, which draws half of the
-    parameters and applies half of each large Adam update, adds too little at
-    this size to show. The pinned child has no worker (one CPU), and the
-    refused one runs both halves on the calling thread. Before ``train``
-    held OpenBLAS at one thread, the ``fullbatch`` run, whose products over
-    all 1,200 training rows OpenBLAS split, wrote other bytes under ``=2``
-    than under ``=1``. The pinned case is left out where ``os.sched_setaffinity`` is
-    missing."""
+    them, before ``train`` runs. dignn's second thread, started per split to
+    draw half of the parameters and to apply half of each large Adam update,
+    adds too little at this size to show. The pinned child starts none (one
+    CPU), and the refused one runs both halves on the calling thread. Before
+    ``train`` held OpenBLAS at one thread, the ``fullbatch`` run, whose
+    products over all 1,200 training rows OpenBLAS split, wrote other bytes
+    under ``=2`` than under ``=1``. The pinned case is left out where
+    ``os.sched_setaffinity`` is missing."""
     data = str(tmp_path / "g")
     assert main(["synth", "--n", "3000", "--dim", "16", "--seed", "3",
                  "--out", data]) == EXIT_OK

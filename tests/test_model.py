@@ -11,7 +11,6 @@ import scipy.sparse as sp
 
 import dignn.autodiff as ad
 import dignn.model as M
-from dignn import threads
 from dignn.errors import DimensionError, GraphLoadError
 from dignn.graphdata import BatchSubgraph
 from dignn.model import DignnConfig, DignnParams
@@ -190,8 +189,8 @@ def assert_decoder_layer_joined(p):
 
 
 class TestTwoRuns:
-    """``init`` and ``load`` fill the tensors as two runs, the second on the
-    worker thread."""
+    """``init`` and ``load`` fill the tensors as two runs, the second on a
+    thread of its own."""
 
     @pytest.mark.parametrize("skip", [*range(8), 2 ** 20 + 3])
     def test_skipped_generator_continues_the_stream(self, skip):
@@ -208,7 +207,7 @@ class TestTwoRuns:
         assert sorted(runs) == [(0, 15), (15, 21)]
         assert list(tensors)[15] == "dec_a_w2"
 
-    def test_without_a_thread_the_caller_fills_both_runs(self, worker, tmp_path,
+    def test_without_a_thread_the_caller_fills_both_runs(self, two_cpus, tmp_path,
                                                          monkeypatch):
         path = str(tmp_path / "m.bin")
         cfg = DignnConfig()
@@ -220,7 +219,6 @@ class TestTwoRuns:
             started.append(thread)
             raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(threads, "_worker", None)  # so that one must start
         monkeypatch.setattr(threading.Thread, "start", refuse)
         for p in (DignnParams.init(2000, 8, cfg, seed=4), DignnParams.load(path)):
             for name, var in threaded.tensors.items():
@@ -245,7 +243,7 @@ class TestTwoRuns:
         for name, var in checked.tensors.items():
             assert np.array_equal(loaded[name].value, var.value), name
 
-    def test_callers_error_is_raised_after_the_worker_ends(self, worker):
+    def test_callers_error_is_raised_after_the_worker_ends(self, two_cpus):
         arrays = [np.empty(4), np.empty(4)]
         ended = []
 

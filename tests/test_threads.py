@@ -1,5 +1,5 @@
-"""dignn's worker thread (``threads.run_in_two``) and the scope that holds
-OpenBLAS at one thread (``threads.one_blas_thread``)."""
+"""dignn's per-call second thread (``threads.run_in_two``) and the scope that
+holds OpenBLAS at one thread (``threads.one_blas_thread``)."""
 
 import json
 import os
@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import dignn.autodiff as ad
-from dignn import threads
+from dignn import threads, trainer
+from dignn.graphdata import SynthConfig, stratified_split, synth_generate
 from dignn.model import DignnConfig, DignnParams
 
 CHUNK = ad.ADAM_CHUNK
@@ -50,9 +51,9 @@ class TestAdamOnTheWorker:
         (7, 10_001), (1, 2 * CHUNK + 1), (1, 2 * CHUNK), (1, 2 * CHUNK - 1),
     ], ids=["enc_a_w1", "dec_a_w2", "dec_a_b2", "4.27_chunks", "just_above_split",
             "at_split", "just_below_split"])
-    def test_matches_inline(self, shape, worker, monkeypatch):
+    def test_matches_inline(self, shape, two_cpus, monkeypatch):
         split, calls = three_adam_steps(shape)
-        monkeypatch.setattr(threads, "_current_worker", lambda: None)
+        monkeypatch.setattr(threads, "_cpus", lambda: 1)
         inline, inline_calls = three_adam_steps(shape)
         for a, b in zip(split, inline):
             assert np.array_equal(a, b)
@@ -60,19 +61,18 @@ class TestAdamOnTheWorker:
         size = shape[0] * shape[1]
         if size < 2 * CHUNK:
             assert calls == 3 * [(0, size, True)]
-        else:  # the caller's part, then the worker's, of each step
+        else:  # the caller's part, then the second thread's, of each step
             half = calls[0][1]
             assert calls == 3 * [(0, half, True)] + 3 * [(half, size, False)]
             assert half % CHUNK == 0 and abs(2 * half - size) <= CHUNK
 
-    def test_refused_thread_gives_the_same_arrays(self, worker, monkeypatch):
+    def test_refused_thread_gives_the_same_arrays(self, two_cpus, monkeypatch):
         shape = (3, 3 * CHUNK + 5)
         split, _ = three_adam_steps(shape)
 
         def refuse(thread):
             raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(threads, "_worker", None)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         inline, calls = three_adam_steps(shape)
         assert all(on_caller for *_, on_caller in calls)
@@ -80,10 +80,37 @@ class TestAdamOnTheWorker:
             assert np.array_equal(a, b)
 
 
+def test_no_thread_outlives_a_call(two_cpus, tmp_path, monkeypatch):
+    # train (init's runs, then Adam's updates of the 1,000 x 64 encoder
+    # layer), init and load each start threads and leave the same ones alive.
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    g = synth_generate(SynthConfig(seed=1))
+    split = stratified_split(g, (0.4, 0.2, 0.4), seed=1)
+    path = str(tmp_path / "m.bin")
+    calls = [
+        ("train", 2, lambda: trainer.train(g, split, trainer.TrainConfig(epochs=1))),
+        ("init", 1, lambda: DignnParams.init(2000, 8, DignnConfig(), seed=4).save(path)),
+        ("load", 1, lambda: DignnParams.load(path)),
+    ]
+    for name, least, call in calls:
+        before, n = {t.name for t in threading.enumerate()}, len(started)
+        call()
+        assert {t.name for t in threading.enumerate()} == before, name
+        assert len(started) - n >= least, name
+
+
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_forked_child_starts_its_own_worker(worker):
-    # The parent's worker thread is not in the child, so a child that put
-    # its second run on that worker's queue would wait forever.
+def test_forked_childs_init_ends(two_cpus):
+    # A child forked from a process that has run split jobs inherits no
+    # thread of dignn's: its init must start and join its own, not wait on
+    # one that only the parent has.
     expected = DignnParams.init(2000, 8, DignnConfig(), seed=4)
     pid = os.fork()
     if pid == 0:
@@ -211,10 +238,9 @@ def test_nested_scope_sets_nothing(monkeypatch):
     assert count == [3] and sets == [1, 3]
 
 
-def test_concurrent_callers_each_get_both_halves(worker, monkeypatch):
-    # Four threads share the worker, the first calls racing to start it,
-    # with the interpreter switching threads as often as it can.
-    monkeypatch.setattr(threads, "_worker", None)
+def test_concurrent_callers_each_get_both_halves(two_cpus):
+    # Four threads each call run_in_two at once, with the interpreter
+    # switching threads as often as it can.
     done = np.zeros((4, 200, 2), dtype=np.int64)
     early = []  # calls that returned before both halves ran
 
