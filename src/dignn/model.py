@@ -27,7 +27,7 @@ MODEL_VERSION = 1
 MODEL_FLAG = 1  # header byte kept so that saved models stay readable; always 1
 MODEL_HEADER = struct.Struct("<6s6IB")  # magic, version, N, D, d, h, tensors, flag
 DIM_LIMIT = 2 ** 32  # the header stores each size as a uint32
-GLOROT_CHUNK = 16_384  # 128 KB of float64
+GLOROT_CHUNK = ad.ADAM_CHUNK  # each run fills blocks of Adam's size, for the same reason
 
 
 @dataclass

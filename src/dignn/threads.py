@@ -2,7 +2,10 @@
 one thread while training runs.
 
 ``run_in_two`` runs two halves of one job at once, the second on a thread
-that the call starts and joins, so no dignn thread outlives a call.
+that the call starts and joins, so no dignn thread outlives a call. The jobs
+are the two runs of ``DignnParams.init`` and ``.load``, the two parts of
+Adam's update of a large tensor, and, under ``full``, the two splits of
+``autodiff.sparse_target_mse``'s (k+1)-wide products over all N columns.
 ``one_blas_thread`` sets the OpenBLAS that numpy's products call to one
 thread for its scope: after a product that OpenBLAS split over two threads,
 its idle thread spins on the second core for about 128 ms, which is where
@@ -11,6 +14,7 @@ the second half would run.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import os
 import threading
@@ -87,14 +91,19 @@ def run_in_two(first, second):
     after ``first()`` on the calling thread, where the process may run on one
     CPU only or no thread can start (``RuntimeError``, say under a memory
     limit). Both end before any error is raised, the caller's first.
+    ``second`` runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds in both halves (a new thread would start in an
+    empty one).
 
     The two must not share what they write, and the thread allocates
-    nothing for them: the caller allocates what ``second`` fills."""
+    nothing that outlives the call: the caller allocates what ``second``
+    fills."""
     errors = []
+    context = contextvars.copy_context()
 
     def run_second():
         try:
-            second()
+            context.run(second)
         except BaseException as exc:
             errors.append(exc)
 

@@ -152,10 +152,11 @@ def train(graph: FraudGraph, split: SplitIndex, cfg: TrainConfig):
     and the per-epoch history.
 
     OpenBLAS runs on one thread here (``threads.one_blas_thread``), so the
-    second core is free for the second halves that ``DignnParams.init`` and
-    Adam's update run there (``threads.run_in_two``): the step's products are
-    small, and a product split over two threads leaves one spinning on that
-    core for about 128 ms."""
+    second core is free for the second halves that ``DignnParams.init``,
+    Adam's update and, under ``full``, ``ad.sparse_target_mse``'s N-wide
+    products run there (``threads.run_in_two``): the step's other products
+    are small, and a product that OpenBLAS splits over two threads leaves one
+    spinning on that core for about 128 ms."""
     cfg.validate()
     streams = seed_streams(cfg.seed)
     params = DignnParams.init(graph.num_nodes, graph.feature_dim, cfg.model,

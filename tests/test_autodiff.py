@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -347,11 +348,12 @@ def joined_leaves(w_val, b_val):
 class TestSparseTargetMse:
     ROWS, K, COLS = 6, 4, 9
 
-    def _leaves(self, seed):
+    def _leaves(self, seed, cols=None):
+        cols = cols or self.COLS
         rng = np.random.default_rng(seed)
         return (rng.standard_normal((self.ROWS, self.K)),
-                rng.standard_normal((self.K, self.COLS)),
-                rng.standard_normal((1, self.COLS)))
+                rng.standard_normal((self.K, cols)),
+                rng.standard_normal((1, cols)))
 
     @staticmethod
     def _run(f, values):
@@ -374,15 +376,16 @@ class TestSparseTargetMse:
         for g, d in zip(got, want):
             assert np.max(np.abs(g - d)) <= 1e-12 * np.max(np.abs(d))
 
-    def test_matches_finite_differences(self):
-        target = _sparse_targets(self.ROWS, self.COLS, 5)["weighted"]
-        h_val, w_val, b_val = self._leaves(6)
-        leaves = [ad.Var(h_val), *joined_leaves(w_val, b_val)]
-        ad.backward(ad.sparse_target_mse(*leaves, target))
-        for var in leaves:
-            fd = fd_grad(lambda: float(ad.sparse_target_mse(*leaves, target).value[0, 0]),
-                         var.value)
-            assert rel_err(fd, var.grad) <= 1e-4
+    def test_matches_finite_differences(self, two_cpus):
+        for cols in (self.COLS, 130):  # 130: the product runs as two column halves
+            target = _sparse_targets(self.ROWS, cols, 5)["weighted"]
+            h_val, w_val, b_val = self._leaves(6, cols)
+            leaves = [ad.Var(h_val), *joined_leaves(w_val, b_val)]
+            ad.backward(ad.sparse_target_mse(*leaves, target))
+            for var in leaves:
+                fd = fd_grad(lambda: float(ad.sparse_target_mse(*leaves, target).value[0, 0]),
+                             var.value)
+                assert rel_err(fd, var.grad) <= 1e-4
 
     def test_grads_are_joined_too(self):
         target = _sparse_targets(self.ROWS, self.COLS, 5)["binary"]
@@ -390,6 +393,51 @@ class TestSparseTargetMse:
         w, b = joined_leaves(w_val, b_val)
         ad.backward(ad.sparse_target_mse(ad.Var(h_val), w, b, target))
         assert ad._joined_rows(w.grad, b.grad).shape == (self.K + 1, self.COLS)
+
+    @pytest.mark.parametrize("k", [64, 5])
+    @pytest.mark.parametrize("cols", [45_954, 11_944, 129, 128, 127, 100])
+    @pytest.mark.parametrize("thread", ["started", "refused"])
+    def test_halves_match_one_call(self, thread, cols, k, two_cpus, monkeypatch):
+        # The op splits its products over two threads; the oracle makes each
+        # in one call, as the op did before it split them.
+        rows = 64
+        rng = np.random.default_rng(cols + k)
+        target = sp.random(rows, cols, density=min(10 / cols, 0.3), random_state=k,
+                           format="csr")
+        h_val = rng.standard_normal((rows, k))
+        w1 = rng.standard_normal((k + 1, cols))
+        starts, real_start = [], threading.Thread.start
+
+        def start(t):
+            starts.append(t.name)
+            if thread == "refused":
+                raise RuntimeError("can't start new thread")
+            real_start(t)
+
+        h, (w, b) = ad.Var(h_val), joined_leaves(w1[:k], w1[k:])
+        with monkeypatch.context() as m:
+            m.setattr(threading.Thread, "start", start)
+            loss = ad.sparse_target_mse(h, w, b, target)
+            ad.backward(loss)
+        assert len(starts) == 2  # the forward's split and the backward's
+
+        used, col_of = ad._compact_columns(target.indices, cols)
+        a_used = sp.csr_matrix((target.data, col_of, target.indptr),
+                               shape=(rows, used.size))
+        h1 = np.hstack([h_val, np.ones((rows, 1))])
+        w1w1, aw1, gram = w1 @ w1.T, a_used @ w1[:, used].T, h1.T @ h1
+        n = rows * cols
+        want = (float((gram * w1w1).sum()) - 2.0 * float((h1 * aw1).sum())
+                + float((target.data * target.data).sum())) / n
+        c = 2.0 / n
+        dw1 = (c * gram) @ w1
+        h1ta = (a_used.T @ h1).T
+        h1ta *= c
+        for row, sub in zip(dw1, h1ta):
+            row[used] -= sub
+        assert loss.value[0, 0] == want
+        assert np.array_equal(h.grad, c * (h1 @ w1w1 - aw1)[:, :k])
+        assert np.array_equal(w.grad, dw1[:k]) and np.array_equal(b.grad, dw1[k:])
 
     @pytest.mark.parametrize("shapes", [
         ((6, 4), (3, 9), (1, 9), (6, 9)),   # h width vs w rows

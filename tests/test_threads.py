@@ -238,6 +238,22 @@ def test_nested_scope_sets_nothing(monkeypatch):
     assert count == [3] and sets == [1, 3]
 
 
+@pytest.mark.parametrize("half", ["first", "second"])
+def test_both_halves_keep_the_callers_errstate(half, two_cpus):
+    # numpy's errstate is a context variable, and a new thread starts in an
+    # empty context unless it is given the caller's.
+    ran = []
+
+    def divide(name):
+        ran.append((name, threading.current_thread() is threading.main_thread()))
+        if name == half:
+            np.divide(np.ones(4), np.zeros(4))
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        threads.run_in_two(partial(divide, "first"), partial(divide, "second"))
+    assert sorted(ran) == [("first", True), ("second", False)]
+
+
 def test_concurrent_callers_each_get_both_halves(two_cpus):
     # Four threads each call run_in_two at once, with the interpreter
     # switching threads as often as it can.
