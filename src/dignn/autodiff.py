@@ -403,6 +403,7 @@ class Adam:
         self._scratch = np.empty((2, 2, ADAM_CHUNK))
 
     def zero_grad(self):
+        """Unused in dignn; perfbench/spans.py wraps it by name (ROADMAP item 3)."""
         for p in self.params.values():
             p.grad = None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,8 +26,8 @@ from .rng import generator
 class FraudGraph:
     features: np.ndarray            # (N, D) float64
     labels: np.ndarray              # (N,) int8 in {-1, 0, 1}
-    relations: dict[str, np.ndarray] = field(default_factory=dict)  # name -> (E, 2) uint32
-    union_adj: sp.csr_matrix = None  # (N, N) symmetric, no self-loops
+    relations: dict[str, np.ndarray]  # name -> (E, 2) uint32
+    union_adj: sp.csr_matrix          # (N, N) symmetric, no self-loops
 
     @property
     def num_nodes(self) -> int:

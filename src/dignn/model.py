@@ -27,7 +27,6 @@ MODEL_VERSION = 1
 MODEL_FLAG = 1  # header byte kept so that saved models stay readable; always 1
 MODEL_HEADER = struct.Struct("<6s6IB")  # magic, version, N, D, d, h, tensors, flag
 DIM_LIMIT = 2 ** 32  # the header stores each size as a uint32
-GLOROT_CHUNK = ad.ADAM_CHUNK  # each run fills blocks of Adam's size, for the same reason
 
 
 @dataclass
@@ -62,7 +61,9 @@ class ForwardOut:
     alpha_X: Var        # (b, 1)
     z: Var              # fused (b, d)
     logits: Var         # (b, 2)
-    x_A_hat: None = None  # (b, N) never formed; see rec_loss
+    # Always None: rec_loss never forms the (b, N) output. It stays while
+    # perfbench/spans.py reads it, or every --trace 1 run raises (ROADMAP item 3).
+    x_A_hat: None = None
 
 
 class DignnParams:
@@ -251,12 +252,12 @@ def glorot(rng, out: np.ndarray) -> np.ndarray:
     """Fill the (fan_in, fan_out) array ``out`` with uniform
     +-sqrt(6/(fan_in+fan_out)) weights and return it: the same bits as
     ``rng.uniform(-limit, limit, out.shape)``. The draw goes
-    ``GLOROT_CHUNK`` values at a time, so that the scale and shift run on
-    values still in cache."""
+    ``ad.ADAM_CHUNK`` values at a time, as each half of Adam's split update
+    goes, so that the scale and shift run on values still in cache."""
     limit = math.sqrt(6.0 / (out.shape[0] + out.shape[1]))
     flat = out.reshape(-1)
-    for lo in range(0, flat.size, GLOROT_CHUNK):
-        chunk = rng.random(out=flat[lo:lo + GLOROT_CHUNK])
+    for lo in range(0, flat.size, ad.ADAM_CHUNK):
+        chunk = rng.random(out=flat[lo:lo + ad.ADAM_CHUNK])
         chunk *= 2.0 * limit
         chunk -= limit
     return out

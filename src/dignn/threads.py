@@ -20,17 +20,12 @@ import os
 import threading
 from contextlib import contextmanager
 
-try:
-    from numpy._core import _multiarray_umath
-except ImportError:  # numpy 1.x
-    from numpy.core import _multiarray_umath
+from numpy._core import _multiarray_umath
 
 # The (get, set) thread-count functions of the OpenBLAS builds that numpy
-# links: the scipy-openblas64 of numpy 2's wheels, the 64-bit-integer
-# OpenBLAS of numpy 1.x's wheels, and an OpenBLAS of the system.
+# links: the scipy-openblas64 of its wheels, and an OpenBLAS of the system.
 _BLAS_CONTROLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
@@ -79,21 +74,14 @@ def one_blas_thread():
         BLAS_CONTROLS[1](before)
 
 
-def _cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_in_two(first, second):
     """Run ``first()`` on the calling thread while a thread started for this
     call runs ``second()``, joined before the call returns; or ``second()``
-    after ``first()`` on the calling thread, where the process may run on one
-    CPU only or no thread can start (``RuntimeError``, say under a memory
-    limit). Both end before any error is raised, the caller's first.
-    ``second`` runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds in both halves (a new thread would start in an
-    empty one).
+    after ``first()`` on the calling thread, where no thread can start
+    (``RuntimeError``, say under a memory limit). Both end before any error
+    is raised, the caller's first. ``second`` runs in a copy of the caller's
+    context, so the caller's ``np.errstate`` holds in both halves (a new
+    thread would start in an empty one).
 
     The two must not share what they write, and the thread allocates
     nothing that outlives the call: the caller allocates what ``second``
@@ -107,14 +95,10 @@ def run_in_two(first, second):
         except BaseException as exc:
             errors.append(exc)
 
-    thread = None
-    if _cpus() > 1:
-        thread = threading.Thread(target=run_second, name="dignn-split")
-        try:
-            thread.start()
-        except RuntimeError:
-            thread = None
-    if thread is None:
+    thread = threading.Thread(target=run_second, name="dignn-split")
+    try:
+        thread.start()
+    except RuntimeError:
         first()
         second()
         return

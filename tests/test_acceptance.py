@@ -222,12 +222,12 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
     OpenBLAS's own threads, which spin for about 128 ms after numpy loads
     them, before ``train`` runs. dignn's second thread, started per split to
     draw half of the parameters and to apply half of each large Adam update,
-    adds too little at this size to show. The pinned child starts none (one
-    CPU), and the refused one runs both halves on the calling thread. Before
-    ``train`` held OpenBLAS at one thread, the ``fullbatch`` run, whose
-    products over all 1,200 training rows OpenBLAS split, wrote other bytes
-    under ``=2`` than under ``=1``. The pinned case is left out where
-    ``os.sched_setaffinity`` is missing."""
+    adds too little at this size to show. The pinned child starts its
+    threads on its one CPU, and the refused one runs both halves on the
+    calling thread. Before ``train`` held OpenBLAS at one thread, the
+    ``fullbatch`` run, whose products over all 1,200 training rows OpenBLAS
+    split, wrote other bytes under ``=2`` than under ``=1``. The pinned case
+    is left out where ``os.sched_setaffinity`` is missing."""
     data = str(tmp_path / "g")
     assert main(["synth", "--n", "3000", "--dim", "16", "--seed", "3",
                  "--out", data]) == EXIT_OK

@@ -376,7 +376,7 @@ class TestSparseTargetMse:
         for g, d in zip(got, want):
             assert np.max(np.abs(g - d)) <= 1e-12 * np.max(np.abs(d))
 
-    def test_matches_finite_differences(self, two_cpus):
+    def test_matches_finite_differences(self):
         for cols in (self.COLS, 130):  # 130: the product runs as two column halves
             target = _sparse_targets(self.ROWS, cols, 5)["weighted"]
             h_val, w_val, b_val = self._leaves(6, cols)
@@ -397,7 +397,7 @@ class TestSparseTargetMse:
     @pytest.mark.parametrize("k", [64, 5])
     @pytest.mark.parametrize("cols", [45_954, 11_944, 129, 128, 127, 100])
     @pytest.mark.parametrize("thread", ["started", "refused"])
-    def test_halves_match_one_call(self, thread, cols, k, two_cpus, monkeypatch):
+    def test_halves_match_one_call(self, thread, cols, k, monkeypatch):
         # The op splits its products over two threads; the oracle makes each
         # in one call, as the op did before it split them.
         rows = 64
@@ -808,7 +808,7 @@ class TestAdam:
                                      t["w_top"], None)))
         assert held == [("w_top", ["w_top"]), ("w_deep", ["w_deep"])]
 
-    def test_step_allocates_no_full_size_temporary(self, two_cpus):
+    def test_step_allocates_no_full_size_temporary(self):
         # p is split, and a second thread updates its second half.
         rng = np.random.default_rng(0)
         p = ad.Var(rng.standard_normal((2_000_000 // 64, 64)))

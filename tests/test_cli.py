@@ -737,8 +737,8 @@ class TestEval:
     def test_unverified_model_is_load_error(self, fails, row):
         fails(*row)
 
-    def test_truncation_met_by_the_worker_is_load_error(self, two_cpus, trained_run,
-                                                        tmp_path, capsys, monkeypatch):
+    def test_truncation_met_by_the_worker_is_load_error(self, trained_run, tmp_path,
+                                                        capsys, monkeypatch):
         # model.bin loses its last value after its size was checked, so the
         # second run, which the second thread reads, meets the file's end.
         run = _copy_run(trained_run, tmp_path)

@@ -207,8 +207,7 @@ class TestTwoRuns:
         assert sorted(runs) == [(0, 15), (15, 21)]
         assert list(tensors)[15] == "dec_a_w2"
 
-    def test_without_a_thread_the_caller_fills_both_runs(self, two_cpus, tmp_path,
-                                                         monkeypatch):
+    def test_without_a_thread_the_caller_fills_both_runs(self, tmp_path, monkeypatch):
         path = str(tmp_path / "m.bin")
         cfg = DignnConfig()
         threaded = DignnParams.init(2000, 8, cfg, seed=4)
@@ -243,7 +242,7 @@ class TestTwoRuns:
         for name, var in checked.tensors.items():
             assert np.array_equal(loaded[name].value, var.value), name
 
-    def test_callers_error_is_raised_after_the_worker_ends(self, two_cpus):
+    def test_callers_error_is_raised_after_the_worker_ends(self):
         arrays = [np.empty(4), np.empty(4)]
         ended = []
 

@@ -45,15 +45,20 @@ def three_adam_steps(shape):
     return (p.value, opt.m["w"], opt.v["w"]), sorted(calls)
 
 
+def refuse(thread):
+    raise RuntimeError("can't start new thread")
+
+
 class TestAdamOnTheWorker:
     @pytest.mark.parametrize("shape", [
         (45_954, 64), (64, 45_954), (1, 45_954),  # YelpChi scale
         (7, 10_001), (1, 2 * CHUNK + 1), (1, 2 * CHUNK), (1, 2 * CHUNK - 1),
+        (3, 3 * CHUNK + 5),
     ], ids=["enc_a_w1", "dec_a_w2", "dec_a_b2", "4.27_chunks", "just_above_split",
-            "at_split", "just_below_split"])
-    def test_matches_inline(self, shape, two_cpus, monkeypatch):
+            "at_split", "just_below_split", "3_rows_of_3_chunks"])
+    def test_matches_inline(self, shape, monkeypatch):
         split, calls = three_adam_steps(shape)
-        monkeypatch.setattr(threads, "_cpus", lambda: 1)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         inline, inline_calls = three_adam_steps(shape)
         for a, b in zip(split, inline):
             assert np.array_equal(a, b)
@@ -66,21 +71,26 @@ class TestAdamOnTheWorker:
             assert calls == 3 * [(0, half, True)] + 3 * [(half, size, False)]
             assert half % CHUNK == 0 and abs(2 * half - size) <= CHUNK
 
-    def test_refused_thread_gives_the_same_arrays(self, two_cpus, monkeypatch):
-        shape = (3, 3 * CHUNK + 5)
-        split, _ = three_adam_steps(shape)
 
-        def refuse(thread):
-            raise RuntimeError("can't start new thread")
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="os.sched_setaffinity is missing")
+def test_second_half_runs_on_its_own_thread_on_one_cpu():
+    # The calling thread is pinned, and the thread it starts inherits its CPU.
+    ran = []
 
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        inline, calls = three_adam_steps(shape)
-        assert all(on_caller for *_, on_caller in calls)
-        for a, b in zip(split, inline):
-            assert np.array_equal(a, b)
+    def record(name):
+        ran.append((name, threading.current_thread() is threading.main_thread()))
+
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        threads.run_in_two(partial(record, "first"), partial(record, "second"))
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert sorted(ran) == [("first", True), ("second", False)]
 
 
-def test_no_thread_outlives_a_call(two_cpus, tmp_path, monkeypatch):
+def test_no_thread_outlives_a_call(tmp_path, monkeypatch):
     # train (init's runs, then Adam's updates of the 1,000 x 64 encoder
     # layer), init and load each start threads and leave the same ones alive.
     started = []
@@ -107,7 +117,7 @@ def test_no_thread_outlives_a_call(two_cpus, tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_forked_childs_init_ends(two_cpus):
+def test_forked_childs_init_ends():
     # A child forked from a process that has run split jobs inherits no
     # thread of dignn's: its init must start and join its own, not wait on
     # one that only the parent has.
@@ -239,7 +249,7 @@ def test_nested_scope_sets_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("half", ["first", "second"])
-def test_both_halves_keep_the_callers_errstate(half, two_cpus):
+def test_both_halves_keep_the_callers_errstate(half):
     # numpy's errstate is a context variable, and a new thread starts in an
     # empty context unless it is given the caller's.
     ran = []
@@ -254,7 +264,7 @@ def test_both_halves_keep_the_callers_errstate(half, two_cpus):
     assert sorted(ran) == [("first", True), ("second", False)]
 
 
-def test_concurrent_callers_each_get_both_halves(two_cpus):
+def test_concurrent_callers_each_get_both_halves():
     # Four threads each call run_in_two at once, with the interpreter
     # switching threads as often as it can.
     done = np.zeros((4, 200, 2), dtype=np.int64)
