@@ -27,7 +27,7 @@ class FraudGraph:
     features: np.ndarray            # (N, D) float64
     labels: np.ndarray              # (N,) int8 in {-1, 0, 1}
     relations: dict[str, np.ndarray]  # name -> (E, 2) uint32
-    union_adj: sp.csr_matrix          # (N, N) symmetric, no self-loops
+    union_adj: sp.csr_matrix          # (N, N) symmetric, no self-loops, int8 ones
 
     @property
     def num_nodes(self) -> int:
@@ -52,7 +52,7 @@ class SplitIndex:
 class BatchSubgraph:
     node_ids: np.ndarray
     features: np.ndarray      # (b, D)
-    topo_rows: sp.csr_matrix  # (b, N) full-graph adjacency rows
+    topo_rows: sp.csr_matrix  # (b, N) full-graph adjacency rows, int8 ones
     labels: np.ndarray        # (b,) in {0, 1}
 
 
@@ -108,7 +108,10 @@ def build_union_adj(relations: dict[str, np.ndarray], num_nodes: int) -> sp.csr_
     are sorted and a code equal to its predecessor is dropped, so the
     survivors are the entries in row-major order: ``code % N`` is the
     column, and row r starts at the first code >= r * N. The result is a
-    canonical CSR with float64 ones. The dedup is a sort, not
+    canonical CSR whose ones are int8, one byte an entry where float64 took
+    eight: scipy upcasts them to float64 inside every product with a float
+    array (through a short-lived copy of the operand's values), and a one is
+    exact in either type. The dedup is a sort, not
     ``np.unique``: without ``return_inverse``, numpy 2.4 runs ``np.unique``
     through a hash table, which took 10 s on the 7.7 M directed edges of a
     graph with YelpChi's edge count, against 0.14 s for the sort.
@@ -126,7 +129,8 @@ def build_union_adj(relations: dict[str, np.ndarray], num_nodes: int) -> sp.csr_
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
     codes = codes[first]
     indptr = np.searchsorted(codes, np.arange(n + 1) * n)
-    return sp.csr_matrix((np.ones(codes.size), codes % n, indptr), shape=(n, n))
+    return sp.csr_matrix((np.ones(codes.size, dtype=np.int8), codes % n, indptr),
+                         shape=(n, n))
 
 
 def _read_exact(path: str, dtype, count: int | None, what: str) -> np.ndarray:

@@ -1,10 +1,12 @@
 import json
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dignn.autodiff as ad
 from dignn.errors import GraphLoadError, InvalidLabelError, SplitError
 from dignn.graphdata import (
     FraudGraph, SplitIndex, SynthConfig, build_union_adj, downsample_epoch, gather_batch,
@@ -94,7 +96,7 @@ class TestBuildUnionAdj:
         assert adj.format == "csr" and adj.shape == (n, n)
         assert adj.has_canonical_format
         assert adj.indices.dtype == np.int32 and adj.indptr.dtype == np.int32
-        assert adj.data.dtype == np.float64 and np.all(adj.data == 1.0)
+        assert adj.data.dtype == np.int8 and np.all(adj.data == 1)
         rows = np.repeat(np.arange(n), np.diff(adj.indptr))
         assert list(zip(rows.tolist(), adj.indices.tolist())) == union_oracle(rels)
         return adj
@@ -261,6 +263,33 @@ class TestGatherBatch:
         g = toy_graph(labels=[0, -1, 1])
         with pytest.raises(InvalidLabelError):
             gather_batch(g, [1])
+
+    @pytest.mark.parametrize("avg_degree", [4.0, 167.43])  # 167.43: YelpChi's density
+    def test_int8_rows_give_the_float64_products(self, avg_degree):
+        # The rows keep the adjacency's int8 ones; scipy upcasts them inside
+        # each product, and a one is exact in both types, so the topology
+        # encoder's and decoder's values and grads equal those of float64 rows.
+        g = synth_generate(SynthConfig(num_nodes=2000, feature_dim=2,
+                                       avg_degree=avg_degree, seed=2))
+        ids = np.arange(256)
+        as_float = replace(g, union_adj=g.union_adj.astype(np.float64))
+        rows, float_rows = (gather_batch(h, ids).topo_rows for h in (g, as_float))
+        assert rows.dtype == np.int8 and float_rows.dtype == np.float64
+        rng = np.random.default_rng(3)
+        w_val, upstream = rng.standard_normal((2000, 8)), rng.standard_normal((256, 8))
+        h_val, w1_val = rng.standard_normal((256, 5)), rng.standard_normal((6, 2000))
+
+        def values_and_grads(topo):
+            w = ad.Var(w_val)
+            encoded = ad.dense(topo, w, None)
+            ad.backward(ad.sum_all(ad.mul(encoded, upstream)))
+            h, dec_w, dec_b = ad.Var(h_val), ad.Var(w1_val[:-1]), ad.Var(w1_val[-1:])
+            loss = ad.sparse_target_mse(h, dec_w, dec_b, topo)
+            ad.backward(loss)
+            return [encoded.value, w.grad, loss.value, h.grad, dec_w.grad, dec_b.grad]
+
+        for got, want in zip(values_and_grads(rows), values_and_grads(float_rows)):
+            assert np.array_equal(got, want)
 
 
 class TestNormalizeFeatures:

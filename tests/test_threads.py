@@ -50,13 +50,16 @@ def refuse(thread):
 
 
 class TestAdamOnTheWorker:
-    @pytest.mark.parametrize("shape", [
-        (45_954, 64), (64, 45_954), (1, 45_954),  # YelpChi scale
-        (7, 10_001), (1, 2 * CHUNK + 1), (1, 2 * CHUNK), (1, 2 * CHUNK - 1),
-        (3, 3 * CHUNK + 5),
+    # Each case names whether Adam splits it, so a change of ADAM_CHUNK that
+    # moves a case across the split fails here rather than testing the other
+    # path under its old name.
+    @pytest.mark.parametrize("shape, is_split", [
+        ((45_954, 64), True), ((64, 45_954), True), ((1, 45_954), False),  # YelpChi scale
+        ((7, 40_001), True), ((1, 2 * CHUNK + 1), True), ((1, 2 * CHUNK), True),
+        ((1, 2 * CHUNK - 1), False), ((3, 3 * CHUNK + 5), True),
     ], ids=["enc_a_w1", "dec_a_w2", "dec_a_b2", "4.27_chunks", "just_above_split",
             "at_split", "just_below_split", "3_rows_of_3_chunks"])
-    def test_matches_inline(self, shape, monkeypatch):
+    def test_matches_inline(self, shape, is_split, monkeypatch):
         split, calls = three_adam_steps(shape)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         inline, inline_calls = three_adam_steps(shape)
@@ -64,7 +67,7 @@ class TestAdamOnTheWorker:
             assert np.array_equal(a, b)
         assert inline_calls == [(lo, hi, True) for lo, hi, _ in calls]
         size = shape[0] * shape[1]
-        if size < 2 * CHUNK:
+        if not is_split:
             assert calls == 3 * [(0, size, True)]
         else:  # the caller's part, then the second thread's, of each step
             half = calls[0][1]
