@@ -67,7 +67,8 @@ class ForwardOut:
 
 
 class DignnParams:
-    """All trainable tensors, in a fixed serialization order."""
+    """The trainable tensors in a fixed serialization order; after ``load``,
+    only those that scoring reads."""
 
     def __init__(self, tensors: "OrderedDict[str, Var]", n_nodes: int,
                  feat_dim: int, cfg: DignnConfig):
@@ -163,10 +164,12 @@ class DignnParams:
 
     @classmethod
     def load(cls, path: str) -> "DignnParams":
-        """Read a model written by ``save``. Its header, each tensor's header and
-        its size must be what ``save`` writes for the ``shape_spec`` its sizes imply,
-        all checked before ``empty_tensors`` allocates the arrays they are read into,
-        which are then read as two runs (``_fill_in_two_runs``)."""
+        """Read a model written by ``save``, keeping the tensors that ``forward``
+        reads: the encoders', attention's and classifier's. The decoders serve
+        only training's losses, so their values are skipped, and a loaded model
+        scores but does not train. The header, each tensor's header and its size
+        must be what ``save`` writes for the ``shape_spec`` its sizes imply, all
+        checked before the kept tensors are allocated."""
         try:
             fh = open(path, "rb")
         except OSError as exc:
@@ -189,7 +192,7 @@ class DignnParams:
                 raise GraphLoadError(f"unsupported model header in {path}: version "
                                      f"{version}, flag byte {flag}, {n_tensors} tensors "
                                      f"(want {MODEL_VERSION}, {MODEL_FLAG}, {len(spec)})")
-            offsets = []
+            kept = []
             for name, shape in spec:
                 expected = _tensor_header(name, shape)
                 found = fh.read(len(expected))
@@ -197,7 +200,8 @@ class DignnParams:
                     raise truncated() if len(found) < len(expected) else GraphLoadError(
                         f"unexpected tensor header in {path}: {name!r} of shape "
                         f"{shape} belongs there")
-                offsets.append(fh.tell())
+                if not name.startswith("dec_"):
+                    kept.append((name, shape, fh.tell()))
                 end = fh.tell() + 8 * shape[0] * shape[1]
                 if end > size:
                     raise truncated()
@@ -205,33 +209,29 @@ class DignnParams:
             if fh.tell() != size:
                 raise GraphLoadError(f"trailing bytes in model file {path}: {size} "
                                      f"bytes, the last tensor ends at {fh.tell()}")
-            tensors = cls.empty_tensors(n, d_in, cfg)
-            arrays = list(tensors.values())
-
-            def read(lo: int, hi: int):
-                # Positional reads of the descriptor checked above, so a file
-                # moved to ``path`` since then is never read.
-                for a, offset in zip(arrays[lo:hi], offsets[lo:hi]):
-                    buf = memoryview(a).cast("B")
-                    done = 0
-                    while done < buf.nbytes:
-                        got = os.preadv(fh.fileno(), [buf[done:]], offset + done)
-                        if got == 0:
-                            raise truncated()
-                        done += got
-                    if sys.byteorder != "little":
-                        a.byteswap(inplace=True)
-
-            _fill_in_two_runs(arrays, read)
-        return cls(OrderedDict((name, Var(a)) for name, a in tensors.items()),
-                   n, d_in, cfg)
+            tensors = OrderedDict()
+            for name, shape, offset in kept:
+                a = np.empty(shape)
+                buf = memoryview(a).cast("B")
+                done = 0
+                while done < buf.nbytes:
+                    # A positional read of the descriptor checked above, so a
+                    # file moved to ``path`` since then is never read.
+                    got = os.preadv(fh.fileno(), [buf[done:]], offset + done)
+                    if got == 0:
+                        raise truncated()
+                    done += got
+                if sys.byteorder != "little":
+                    a.byteswap(inplace=True)
+                tensors[name] = Var(a)
+        return cls(tensors, n, d_in, cfg)
 
 
 def _fill_in_two_runs(arrays: list[np.ndarray], fill):
     """Have ``fill(lo, hi)``, which fills ``arrays[lo:hi]`` and allocates
     nothing large, fill the arrays as two runs split at the array boundary
     nearest half of their values, the second on a thread of its own
-    (``threads.run_in_two``)."""
+    (``threads.run_in_two``). ``init`` alone uses it."""
     ends = list(accumulate(a.size for a in arrays))
     k = 1 + min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1]))
     threads.run_in_two(partial(fill, 0, k), partial(fill, k, len(arrays)))

@@ -3,8 +3,8 @@ one thread while training runs.
 
 ``run_in_two`` runs two halves of one job at once, the second on a thread
 that the call starts and joins, so no dignn thread outlives a call. The jobs
-are the two runs of ``DignnParams.init`` and ``.load``, the two parts of
-Adam's update of a large tensor, and, under ``full``, the two splits of
+are the two runs of ``DignnParams.init``, the two parts of Adam's update of
+a large tensor, and, under ``full``, the two splits of
 ``autodiff.sparse_target_mse``'s (k+1)-wide products over all N columns.
 ``one_blas_thread`` sets the OpenBLAS that numpy's products call to one
 thread for its scope: after a product that OpenBLAS split over two threads,

@@ -7,7 +7,6 @@ import shutil
 import struct
 import subprocess
 import sys
-import threading
 from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
@@ -18,13 +17,11 @@ import pytest
 from dignn import autodiff as ad
 from dignn import cli
 from dignn import model as M
-from dignn.autodiff import Var
 from dignn.cli import (
     CONFIG_KEYS, EXIT_DIVERGENCE, EXIT_GRADCHECK, EXIT_LOAD, EXIT_OK, EXIT_USAGE,
     UsageError, _write_atomic, build_train_config, main, read_config_file,
     resolve_config, variant_tag,
 )
-from dignn.errors import GraphLoadError
 from dignn.graphdata import (
     SynthConfig, gather_batch, load_graph, normalize_features, save_graph,
     stratified_split, synth_generate,
@@ -142,14 +139,6 @@ def _json(edit):
         obj = json.loads(path.read_text())
         edit(obj)
         path.write_text(json.dumps(obj))
-    return change
-
-
-def _model(edit):
-    def change(path):
-        params = DignnParams.load(str(path))
-        edit(params)
-        params.save(str(path))
     return change
 
 
@@ -284,7 +273,9 @@ FAILURES = {
          "'att_q'"),
         ("not_utf8_name", _bytes(lambda b: b.replace(b"enc_a_w1", b"\xffnc_a_w1", 1)),
          "'enc_a_w1'"),
-        ("wrong_shape", _model(lambda p: p.tensors.update(att_q=Var(np.zeros((5, 1))))),
+        # att_q's header claims 5 rows, not embed_dim's 32
+        ("wrong_shape", _bytes(lambda b: b.replace(b"att_q" + _U32(32),
+                                                   b"att_q" + _U32(5), 1)),
          "'att_q' of shape"),
     ]),
     "model.bin hash": ("run", "model.bin", EXIT_LOAD, [
@@ -737,32 +728,25 @@ class TestEval:
     def test_unverified_model_is_load_error(self, fails, row):
         fails(*row)
 
-    def test_truncation_met_by_the_worker_is_load_error(self, trained_run, tmp_path,
-                                                        capsys, monkeypatch):
-        # model.bin loses its last value after its size was checked, so the
-        # second run, which the second thread reads, meets the file's end.
+    def test_truncation_met_by_the_read_is_load_error(self, trained_run, tmp_path,
+                                                      capsys, monkeypatch):
+        # model.bin is cut one value into enc_a_w1 after its size was
+        # checked, so the read of that kept tensor meets the file's end.
         run = _copy_run(trained_run, tmp_path)
         path = run / "model.bin"
-        fill_in_two_runs = M._fill_in_two_runs
-        raised_on_main = []
+        preadv = os.preadv
+        cut = []
 
-        def truncate_then_fill(arrays, fill):
-            os.truncate(path, path.stat().st_size - 8)
+        def truncate_then_read(fd, buffers, offset):
+            if not cut:
+                cut.append(offset)
+                os.truncate(path, offset + 8)
+            return preadv(fd, buffers, offset)
 
-            def watched(lo, hi):
-                try:
-                    fill(lo, hi)
-                except GraphLoadError:
-                    raised_on_main.append(
-                        threading.current_thread() is threading.main_thread())
-                    raise
-
-            fill_in_two_runs(arrays, watched)
-
-        monkeypatch.setattr(M, "_fill_in_two_runs", truncate_then_fill)
+        monkeypatch.setattr(os, "preadv", truncate_then_read)
         _exits(capsys, ["eval", "--run", str(run)], EXIT_LOAD,
                f"truncated model file: {path}")
-        assert raised_on_main == [False]
+        assert cut == [51]  # enc_a_w1's first value
 
 
 @pytest.mark.parametrize("command", ["eval", "export-embeddings"])

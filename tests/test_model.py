@@ -37,7 +37,9 @@ def make_batch(n_nodes=6, b=4, d_in=4, seed=0):
 
 BIASES = {"enc_a_b1", "enc_a_b2", "enc_x_b1", "enc_x_b2", "att_b", "clf_b",
           "dec_a_b1", "dec_a_b2", "dec_x_b1", "dec_x_b2"}
-
+# The tensors that forward reads, and so all that load keeps.
+SCORING = ["enc_a_w1", "enc_a_b1", "enc_a_w2", "enc_a_b2", "enc_x_w1", "enc_x_b1",
+           "enc_x_w2", "enc_x_b2", "att_w", "att_b", "att_q", "clf_w", "clf_b"]
 
 class TestParams:
     def test_shapes_and_zero_biases(self):
@@ -60,8 +62,8 @@ class TestParams:
         path = str(tmp_path / "m.bin")
         p.save(path)
         q = DignnParams.load(path)
-        assert list(q.tensors) == list(p.tensors)
-        for name in p.tensors:
+        assert list(q.tensors) == SCORING
+        for name in SCORING:
             assert np.array_equal(q[name].value, p[name].value)
         assert (q.n_nodes, q.feat_dim) == (6, 4)
         with open(path, "rb") as fh:
@@ -159,6 +161,35 @@ class TestParams:
         assert init_peak <= 1.1 * total
         assert load_peak - base <= 1.1 * total
 
+    def test_load_allocates_only_the_scoring_tensors(self, tmp_path):
+        # The topology decoder's output layer is as large as the encoder's
+        # first layer (20,000 x 64), so holding it would double the peak. The
+        # rest is the file's read buffer and small objects, about 11 KB.
+        cfg = DignnConfig()
+        path = str(tmp_path / "m.bin")
+        DignnParams.init(20_000, 8, cfg, seed=0).save(path)
+        tracemalloc.start()
+        try:
+            DignnParams.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(8 * r * c for name, (r, c) in DignnParams.shape_spec(20_000, 8, cfg)
+                   if name in SCORING)
+        assert kept <= peak <= kept + 2 ** 16
+
+    def test_loaded_model_scores_as_the_saved_one(self, tmp_path):
+        cfg = DignnConfig()
+        p = DignnParams.init(300, 4, cfg, seed=6)
+        path = str(tmp_path / "m.bin")
+        p.save(path)
+        q = DignnParams.load(path)
+        batch = make_batch(n_nodes=300, b=40, d_in=4, seed=6)
+        for got, want in zip(M.predict(q, batch, cfg), M.predict(p, batch, cfg)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(M.forward(q, batch, cfg).z.value,
+                              M.forward(p, batch, cfg).z.value)
+
     def test_snapshot_restore(self):
         p = DignnParams.init(6, 4, small_cfg(), seed=2)
         snap = p.snapshot(["clf_w"])
@@ -189,8 +220,8 @@ def assert_decoder_layer_joined(p):
 
 
 class TestTwoRuns:
-    """``init`` and ``load`` fill the tensors as two runs, the second on a
-    thread of its own."""
+    """``init`` fills the tensors as two runs, the second on a thread of its
+    own."""
 
     @pytest.mark.parametrize("skip", [*range(8), 2 ** 20 + 3])
     def test_skipped_generator_continues_the_stream(self, skip):
@@ -208,6 +239,8 @@ class TestTwoRuns:
         assert list(tensors)[15] == "dec_a_w2"
 
     def test_without_a_thread_the_caller_fills_both_runs(self, tmp_path, monkeypatch):
+        # init's second run falls back to the calling thread; load reads there
+        # anyway, and gives the same values.
         path = str(tmp_path / "m.bin")
         cfg = DignnConfig()
         threaded = DignnParams.init(2000, 8, cfg, seed=4)
@@ -219,10 +252,13 @@ class TestTwoRuns:
             raise RuntimeError("can't start new thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        for p in (DignnParams.init(2000, 8, cfg, seed=4), DignnParams.load(path)):
-            for name, var in threaded.tensors.items():
-                assert np.array_equal(p[name].value, var.value), name
-        assert len(started) == 2
+        p = DignnParams.init(2000, 8, cfg, seed=4)
+        for name, var in threaded.tensors.items():
+            assert np.array_equal(p[name].value, var.value), name
+        assert len(started) == 1
+        loaded = DignnParams.load(path)
+        for name in SCORING:
+            assert np.array_equal(loaded[name].value, threaded[name].value), name
 
     def test_load_never_reads_a_file_moved_over_the_checked_one(self, tmp_path,
                                                                 monkeypatch):
@@ -231,16 +267,20 @@ class TestTwoRuns:
         checked = DignnParams.init(2000, 8, cfg, seed=1)
         checked.save(path)
         DignnParams.init(2000, 8, cfg, seed=2).save(other)
-        fill_in_two_runs = M._fill_in_two_runs
+        preadv = os.preadv
+        replaced = []
 
-        def replace_then_fill(arrays, fill):  # after every header check
-            os.replace(other, path)
-            fill_in_two_runs(arrays, fill)
+        def replace_then_read(fd, buffers, offset):  # after every header check
+            if not replaced:
+                replaced.append(offset)
+                os.replace(other, path)
+            return preadv(fd, buffers, offset)
 
-        monkeypatch.setattr(M, "_fill_in_two_runs", replace_then_fill)
+        monkeypatch.setattr(os, "preadv", replace_then_read)
         loaded = DignnParams.load(path)
-        for name, var in checked.tensors.items():
-            assert np.array_equal(loaded[name].value, var.value), name
+        assert replaced
+        for name in SCORING:
+            assert np.array_equal(loaded[name].value, checked[name].value), name
 
     def test_callers_error_is_raised_after_the_worker_ends(self):
         arrays = [np.empty(4), np.empty(4)]
@@ -259,11 +299,8 @@ class TestTwoRuns:
 
 
 class TestJoinedDecoderLayer:
-    def test_after_init_and_load(self, tmp_path):
-        p = DignnParams.init(6, 4, small_cfg(), seed=1)
-        assert_decoder_layer_joined(p)
-        p.save(str(tmp_path / "m.bin"))
-        assert_decoder_layer_joined(DignnParams.load(str(tmp_path / "m.bin")))
+    def test_after_init(self):
+        assert_decoder_layer_joined(DignnParams.init(6, 4, small_cfg(), seed=1))
 
     def test_after_adam_step_and_restore(self):
         p = DignnParams.init(6, 4, small_cfg(), seed=2)
