@@ -24,10 +24,22 @@ from .rng import generator
 
 @dataclass
 class FraudGraph:
-    features: np.ndarray            # (N, D) float64
-    labels: np.ndarray              # (N,) int8 in {-1, 0, 1}
-    relations: dict[str, np.ndarray]  # name -> (E, 2) uint32
+    features: np.ndarray              # (N, D) as read: float32 loaded, float64 from synth
+    labels: np.ndarray                # (N,) int8 in {-1, 0, 1}
+    relations: dict[str, np.ndarray] | None  # name -> (E, 2) uint32; None once loaded
     union_adj: sp.csr_matrix          # (N, N) symmetric, no self-loops, int8 ones
+    zscore: tuple | None = None       # normalize_features' mean, scale, constant columns
+
+    def feature_rows(self, ids) -> np.ndarray:
+        """Rows ``ids`` as C-contiguous float64, z-scored once ``zscore`` is set."""
+        rows = np.take(self.features, ids, axis=0).astype(np.float64, copy=False)
+        if self.zscore is not None:
+            mean, scale, constant = self.zscore
+            rows -= mean
+            rows /= scale
+            if constant.size:
+                rows[:, constant] = 0.0
+        return rows
 
     @property
     def num_nodes(self) -> int:
@@ -51,7 +63,7 @@ class SplitIndex:
 @dataclass
 class BatchSubgraph:
     node_ids: np.ndarray
-    features: np.ndarray      # (b, D)
+    features: np.ndarray      # (b, D) float64, from FraudGraph.feature_rows
     topo_rows: sp.csr_matrix  # (b, N) full-graph adjacency rows, int8 ones
     labels: np.ndarray        # (b,) in {0, 1}
 
@@ -101,36 +113,41 @@ class SynthConfig:
         return 16 * n * d + 24 * n + 68 * (self.avg_degree * n / 2) + 2 ** 16
 
 
-def build_union_adj(relations: dict[str, np.ndarray], num_nodes: int) -> sp.csr_matrix:
-    """Symmetric deduplicated union of all relations, self-loops dropped.
+def build_union_adj(pairs, num_nodes: int, num_pairs: int) -> sp.csr_matrix:
+    """Symmetric deduplicated union of ``num_pairs`` edge pairs, self-loops
+    dropped. ``pairs`` yields them as (E, 2) integer arrays, one at a time.
 
-    Each directed edge becomes the int64 code ``src * N + dst``. The codes
-    are sorted and a code equal to its predecessor is dropped, so the
-    survivors are the entries in row-major order: ``code % N`` is the
-    column, and row r starts at the first code >= r * N. The result is a
-    canonical CSR whose ones are int8, one byte an entry where float64 took
-    eight: scipy upcasts them to float64 inside every product with a float
-    array (through a short-lived copy of the operand's values), and a one is
-    exact in either type. The dedup is a sort, not
-    ``np.unique``: without ``return_inverse``, numpy 2.4 runs ``np.unique``
-    through a hash table, which took 10 s on the 7.7 M directed edges of a
-    graph with YelpChi's edge count, against 0.14 s for the sort.
+    Each directed edge's int64 code ``src * N + dst`` is written both ways
+    into one preallocated array, sorted in place. Blocks of 65,536 codes drop
+    repeats and self-loops (``code % (N + 1) == 0``) and compact the rest to
+    the front: the entries in row-major order, ``code % N`` the column. The
+    ones are int8, exact in scipy's float64 upcast. A sort, not ``np.unique``,
+    which hashes in numpy 2.4: 10 s on YelpChi's 7.7 M codes against 0.14 s.
     """
     n = num_nodes
-    src, dst = np.vstack([np.empty((0, 2), np.int64),
-                          *(e.reshape(-1, 2) for e in relations.values())]).T
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    codes = np.concatenate([src * n + dst, dst * n + src])
-    del src, dst  # at YelpChi's edge count, 62 MB that the rest never reads
+    codes = np.empty(2 * num_pairs, dtype=np.int64)
+    at = 0
+    for e in pairs:
+        for a, b in ((e[:, 0], e[:, 1]), (e[:, 1], e[:, 0])):
+            out = codes[at:at + len(e)]
+            np.multiply(a, n, out=out, dtype=np.int64)
+            out += b
+            at += len(e)
+    codes = codes[:at]  # an edge file that shrank while it was read
     codes.sort()
-    first = np.empty(codes.size, dtype=bool)
-    first[:1] = True  # a no-op when every edge was a self-loop
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    codes = codes[first]
+    kept, prev = 0, -1
+    for lo in range(0, codes.size, 65_536):
+        block = codes[lo:lo + 65_536]
+        keep = block % (n + 1) != 0
+        keep[0] &= block[0] != prev
+        keep[1:] &= block[1:] != block[:-1]
+        prev, block = block[-1], block[keep]
+        codes[kept:kept + block.size] = block
+        kept += block.size
+    codes = codes[:kept]
     indptr = np.searchsorted(codes, np.arange(n + 1) * n)
-    return sp.csr_matrix((np.ones(codes.size, dtype=np.int8), codes % n, indptr),
-                         shape=(n, n))
+    np.remainder(codes, n, out=codes)
+    return sp.csr_matrix((np.ones(kept, dtype=np.int8), codes, indptr), shape=(n, n))
 
 
 def _read_exact(path: str, dtype, count: int | None, what: str) -> np.ndarray:
@@ -163,40 +180,38 @@ def load_graph(path: str) -> FraudGraph:
         if not (isinstance(rel_names, list) and all(isinstance(r, str) for r in rel_names)):
             raise ValueError(f"relations {rel_names!r} must be a list of names")
         # An edge file's name is its relation's UTF-8 under any locale, as meta.json is.
-        edge_files = {r: os.fsdecode(f"edges_{r}.u32le".encode()) for r in rel_names}
+        epaths = [os.path.join(path, os.fsdecode(f"edges_{r}.u32le".encode()))
+                  for r in rel_names]
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or value
         raise GraphLoadError(f"bad meta.json in {path}: {exc}") from exc
 
     feats = _read_exact(
         os.path.join(path, "features.f32le"), "<f4", n * d, "features"
-    ).astype(np.float64).reshape(n, d)
+    ).astype(np.float32, copy=False).reshape(n, d)
     if not np.all(np.isfinite(feats)):
         raise GraphLoadError("features contain non-finite values")
     labels = _read_exact(os.path.join(path, "labels.i8"), np.int8, n, "labels")
     if not np.isin(labels, (-1, 0, 1)).all():
         raise GraphLoadError("labels must lie in {-1, 0, 1}")
 
-    relations = {}
-    for name, fname in edge_files.items():
-        epath = os.path.join(path, fname)
-        raw = _read_exact(epath, "<u4", None, "edges")
-        if raw.size % 2:
-            raise GraphLoadError(f"odd number of endpoints in {epath}")
-        edges = raw.reshape(-1, 2)
-        if edges.size and edges.max() >= n:
-            raise GraphLoadError(
-                f"edge endpoint {edges.max()} out of range in {epath} (num_nodes={n})"
-            )
-        relations[name] = edges
-    return FraudGraph(
-        features=feats,
-        labels=labels,
-        relations=relations,
-        union_adj=build_union_adj(relations, n),
-    )
+    def edges():  # one file's pairs at a time, none kept
+        for epath in epaths:
+            raw = _read_exact(epath, "<u4", None, "edges")
+            if raw.size % 2:
+                raise GraphLoadError(f"odd number of endpoints in {epath}")
+            if raw.size and raw.max() >= n:
+                raise GraphLoadError(
+                    f"edge endpoint {raw.max()} out of range in {epath} (num_nodes={n})")
+            yield raw.reshape(-1, 2)
+
+    num_pairs = sum(os.path.getsize(p) // 8 for p in epaths if os.path.isfile(p))
+    return FraudGraph(features=feats, labels=labels, relations=None,
+                      union_adj=build_union_adj(edges(), n, num_pairs))
 
 
 def save_graph(g: FraudGraph, path: str):
+    if g.relations is None:
+        raise ValueError("a loaded graph holds no edge pairs to save")
     os.makedirs(path, exist_ok=True)
     meta = {
         "num_nodes": g.num_nodes,
@@ -267,26 +282,28 @@ def make_batches(ids, batch_size: int) -> list[np.ndarray]:
 
 
 def gather_batch(g: FraudGraph, ids) -> BatchSubgraph:
+    """Nodes ``ids``' float64 ``feature_rows``, adjacency rows and labels."""
     ids = np.asarray(ids)
     labels = g.labels[ids].astype(np.int64)
     if (labels < 0).any():
         raise InvalidLabelError("unlabeled node in training batch")
     return BatchSubgraph(
         node_ids=ids,
-        features=g.features[ids],
+        features=g.feature_rows(ids),
         topo_rows=g.union_adj[ids],
         labels=labels,
     )
 
 
 def normalize_features(g: FraudGraph, split: SplitIndex) -> FraudGraph:
-    """Per-feature z-score using statistics of the train nodes only."""
-    train_x = g.features[split.train]
-    mean = train_x.mean(axis=0)
+    """Per-feature z-score using statistics of the train nodes only, kept as
+    ``zscore`` (the mean, the std or 1 where it is below 1e-12, the constant
+    columns) for ``feature_rows`` to apply to each batch it gathers."""
+    train_x = g.features[split.train].astype(np.float64, copy=False)
     std = train_x.std(axis=0)
     ok = std >= 1e-12
-    normed = np.where(ok, (g.features - mean) / np.where(ok, std, 1.0), 0.0)
-    return replace(g, features=normed)
+    return replace(g, zscore=(train_x.mean(axis=0), np.where(ok, std, 1.0),
+                              np.flatnonzero(~ok)))
 
 
 def synth_generate(cfg: SynthConfig) -> FraudGraph:
@@ -340,13 +357,9 @@ def synth_generate(cfg: SynthConfig) -> FraudGraph:
     relations = {"SYN": np.column_stack([u, v]).astype(np.uint32)}
     # build_union_adj reads only the relations: at YelpChi's edge count these
     # per-edge arrays are about 165 MB that would stay alive through its peak.
-    del same, same_cls, cls_u, cls_v, clash, mask, u, v
-    return FraudGraph(
-        features=features,
-        labels=labels,
-        relations=relations,
-        union_adj=build_union_adj(relations, n),
-    )
+    del by_class, same, same_cls, cls_u, cls_v, clash, mask, u, v
+    return FraudGraph(features=features, labels=labels, relations=relations,
+                      union_adj=build_union_adj(relations.values(), n, n_edges))
 
 
 def neighbor_label_distribution(g: FraudGraph) -> dict[int, dict[int, float] | None]:

@@ -304,6 +304,7 @@ def classify(params: DignnParams, z: Var) -> Var:
     return ad.dense(z, params["clf_w"], params["clf_b"])
 
 
+@threads.one_blas_thread()
 def forward(params: DignnParams, batch: BatchSubgraph, cfg: DignnConfig,
             eps_a: np.ndarray | None = None,
             eps_x: np.ndarray | None = None) -> ForwardOut:

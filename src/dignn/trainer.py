@@ -98,12 +98,9 @@ def score_batches(graph: FraudGraph, ids):
         yield gather_batch(graph, block)
 
 
-@one_blas_thread()
 def evaluate(params: DignnParams, graph: FraudGraph, ids) -> MetricsReport:
-    """Deterministic scores of the given labeled nodes, one forward per
-    ``SCORE_BLOCK`` of them, reported together. OpenBLAS runs on one thread
-    here, as in ``train``, between whose calls it runs: a product split over
-    two threads would leave one spinning into the next call."""
+    """Deterministic scores of the given labeled nodes, one forward (on one
+    OpenBLAS thread) per ``SCORE_BLOCK`` of them, reported together."""
     ids = np.asarray(ids)
     if ids.size == 0:
         raise UndefinedMetricError("no nodes to score")
@@ -211,9 +208,8 @@ def _toy_graph() -> FraudGraph:
     features = rng.standard_normal((6, 4))
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5], [1, 4]],
                      dtype=np.uint32)
-    relations = {"SYN": edges}
-    return FraudGraph(features=features, labels=labels, relations=relations,
-                      union_adj=build_union_adj(relations, 6))
+    return FraudGraph(features=features, labels=labels, relations={"SYN": edges},
+                      union_adj=build_union_adj([edges], 6, len(edges)))
 
 
 def gradcheck(model_cfg: DignnConfig | None = None) -> dict:

@@ -22,10 +22,12 @@ def gaussian_bayes_auc(mean_separation: float) -> float:
 
 
 def smoothed_features(graph: FraudGraph) -> np.ndarray:
-    """Neighbor-mean smoothing: row-normalized A X, zeros for isolated nodes."""
+    """Neighbor-mean smoothing: row-normalized A X, zeros for isolated nodes.
+    X is every node's row as ``gather_batch`` gives it, so a normalized
+    graph's rows are z-scored."""
     deg = np.asarray(graph.union_adj.sum(axis=1)).ravel()
     inv = sp.diags(np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0))
-    return np.asarray((inv @ graph.union_adj) @ graph.features)
+    return np.asarray((inv @ graph.union_adj) @ graph.feature_rows(np.arange(graph.num_nodes)))
 
 
 def train_smoothing_baseline(graph: FraudGraph, split: SplitIndex,

@@ -257,3 +257,25 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
         blobs[mode].add((out / "model.bin").read_bytes())
     assert [len(b) for b in blobs.values()] == [1, 1]
     assert refused_log.read_text().count("refused") >= 2  # init's, then Adam's
+
+
+def test_embeddings_do_not_depend_on_blas_threads(tmp_path):
+    """``export-embeddings`` writes the same bytes under one OpenBLAS thread
+    and under two: ``model.forward`` holds OpenBLAS at one thread for every
+    caller, this loop among them, as ``train`` does for ``model.bin``."""
+    data, run = str(tmp_path / "g"), str(tmp_path / "run")
+    assert main(["synth", "--n", "3000", "--dim", "16", "--seed", "3",
+                 "--out", data]) == EXIT_OK
+    assert main(["train", "--data", data, "--epochs", "1", "--seed", "5",
+                 "--out", run]) == EXIT_OK
+    src = os.path.dirname(os.path.dirname(M.__file__))
+    blobs = set()
+    for blas in ("1", "2"):
+        out = tmp_path / f"emb{blas}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "dignn.cli", "export-embeddings", "--run", run,
+             "--out", str(out)],
+            check=True, capture_output=True, timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": src})
+        blobs.add(out.read_bytes())
+    assert len(blobs) == 1

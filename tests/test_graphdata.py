@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dignn.autodiff as ad
+import dignn.graphdata as graphdata
 from dignn.errors import GraphLoadError, InvalidLabelError, SplitError
 from dignn.graphdata import (
     FraudGraph, SplitIndex, SynthConfig, build_union_adj, downsample_epoch, gather_batch,
@@ -27,7 +28,7 @@ def toy_graph(edges=((0, 1),), labels=(0, 1, 0), n_feat=2):
         features=rng.standard_normal((n, n_feat)),
         labels=labels,
         relations=relations,
-        union_adj=build_union_adj(relations, n),
+        union_adj=build_union_adj(relations.values(), n, len(relations["R"])),
     )
 
 
@@ -92,7 +93,7 @@ class TestBuildUnionAdj:
     def check(self, relations, n):
         rels = {k: np.asarray(v, dtype=np.uint32).reshape(-1, 2)
                 for k, v in relations.items()}
-        adj = build_union_adj(rels, n)
+        adj = build_union_adj(rels.values(), n, sum(map(len, rels.values())))
         assert adj.format == "csr" and adj.shape == (n, n)
         assert adj.has_canonical_format
         assert adj.indices.dtype == np.int32 and adj.indptr.dtype == np.int32
@@ -132,6 +133,24 @@ class TestBuildUnionAdj:
     def test_synth_graph(self):
         g = synth_generate(SynthConfig(num_nodes=5000, avg_degree=40, seed=11))
         assert self.check(g.relations, g.num_nodes).nnz > 150_000
+
+    def test_peak_is_the_codes_and_the_index_copy(self):
+        # 16 bytes a pair for the codes, both ways; then 5 bytes an entry for
+        # scipy's int32 copy of the columns and the int8 ones (at most 2 E
+        # entries), the indptr twice, and 1 MiB for the dedup's blocks. The
+        # build that stacked int64 pairs and concatenated two code halves
+        # traced 49 bytes a pair here; this one traced 26.9.
+        g = synth_generate(SynthConfig(num_nodes=10_000, feature_dim=2, avg_degree=40,
+                                       seed=4))
+        e = len(g.relations["SYN"])
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            build_union_adj(g.relations.values(), 10_000, e)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 16 * e + 5 * 2 * e + 16 * 10_001 + 2 ** 20
 
 
 class TestStratifiedSplit:
@@ -299,7 +318,8 @@ class TestNormalizeFeatures:
         split = SplitIndex(train=np.array([0, 1]), val=np.array([2]),
                            test=np.array([3]))
         out = normalize_features(g, split)
-        assert np.array_equal(out.features[:, 0], np.zeros(4))
+        rows = gather_batch(out, np.arange(4)).features
+        assert np.array_equal(rows[:, 0], np.zeros(4))
 
     def test_two_point_column(self):
         g = toy_graph(labels=[0, 1])
@@ -307,7 +327,8 @@ class TestNormalizeFeatures:
         split = SplitIndex(train=np.array([0, 1]), val=np.array([], dtype=int),
                            test=np.array([], dtype=int))
         out = normalize_features(g, split)
-        assert np.allclose(sorted(out.features[:, 0]), [-1.0, 1.0])
+        rows = gather_batch(out, np.arange(2)).features
+        assert np.allclose(sorted(rows[:, 0]), [-1.0, 1.0])
 
     def test_idempotent_on_train_stats(self):
         labels = [0, 1] * 20
@@ -315,7 +336,78 @@ class TestNormalizeFeatures:
         split = stratified_split(g, (0.4, 0.2, 0.4), seed=1)
         once = normalize_features(g, split)
         twice = normalize_features(once, split)
-        assert np.max(np.abs(twice.features[split.train].mean(axis=0))) < 1e-10
+        rows = gather_batch(twice, split.train).features
+        assert np.max(np.abs(rows.mean(axis=0))) < 1e-10
+        # The statistics come from the features as read, not from once's rows.
+        assert np.array_equal(rows, gather_batch(once, split.train).features)
+
+    @pytest.mark.parametrize("source", ["loaded", "synth"])
+    def test_rows_equal_the_whole_matrix_z_score(self, tmp_path, source):
+        # The z-score of the whole float64 matrix that normalize_features
+        # once stored: each gathered row must hold the same bits.
+        g = synth_generate(SynthConfig(num_nodes=500, feature_dim=6, seed=8))
+        g.features[:, 2] = 1.7  # one constant column
+        if source == "loaded":
+            save_graph(g, str(tmp_path))
+            g = load_graph(str(tmp_path))
+        assert g.features.dtype == {"loaded": np.float32, "synth": np.float64}[source]
+        split = stratified_split(g, (0.4, 0.2, 0.4), seed=3)
+        x = g.features.astype(np.float64)
+        mean, std = x[split.train].mean(axis=0), x[split.train].std(axis=0)
+        ok = std >= 1e-12
+        assert not ok[2] and ok.sum() == 5
+        want = np.where(ok, (x - mean) / np.where(ok, std, 1.0), 0.0)
+        out = normalize_features(g, split)
+        assert np.array_equal(out.feature_rows(np.arange(500)), want)
+        ids = np.random.default_rng(4).permutation(500)[:64]
+        assert np.array_equal(gather_batch(out, ids).features, want[ids])
+
+
+class TestGraphContract:
+    """A loaded graph keeps its features as read and no edge pairs."""
+
+    @pytest.mark.parametrize("relations", [
+        {"A": [[0, 1], [1, 0], [0, 1], [2, 3]]},
+        {"A": [[1, 1], [0, 2], [3, 3]]},
+        {"A": [[0, 1], [4, 2]], "B": [[1, 0], [2, 3]], "C": []},
+        {},
+    ], ids=["duplicates", "self_loops", "several", "none"])
+    def test_loaded_union_equals_the_union_of_the_pairs(self, tmp_path, relations):
+        rels = {k: np.asarray(v, dtype=np.uint32).reshape(-1, 2)
+                for k, v in relations.items()}
+        total = sum(map(len, rels.values()))
+        g = FraudGraph(features=np.zeros((5, 2)), labels=np.zeros(5, np.int8),
+                       relations=rels, union_adj=build_union_adj(rels.values(), 5, total))
+        save_graph(g, str(tmp_path))
+        loaded = load_graph(str(tmp_path))
+        assert loaded.relations is None
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(loaded.union_adj, name),
+                                  getattr(g.union_adj, name)), name
+        rows = np.repeat(np.arange(5), np.diff(loaded.union_adj.indptr))
+        assert (list(zip(rows.tolist(), loaded.union_adj.indices.tolist()))
+                == union_oracle(rels))
+
+    def test_save_refuses_a_loaded_graph(self, tmp_path):
+        save_graph(toy_graph(), str(tmp_path / "g"))
+        loaded = load_graph(str(tmp_path / "g"))
+        with pytest.raises(ValueError, match="no edge pairs"):
+            save_graph(loaded, str(tmp_path / "copy"))
+        assert not (tmp_path / "copy").exists()
+
+    def test_features_stay_float32_and_batches_are_float64(self, tmp_path):
+        g = synth_generate(SynthConfig(num_nodes=200, feature_dim=5, seed=2))
+        save_graph(g, str(tmp_path))
+        loaded = load_graph(str(tmp_path))
+        assert loaded.features.dtype == np.float32
+        assert np.array_equal(loaded.features, g.features.astype(np.float32))
+        split = stratified_split(loaded, (0.4, 0.2, 0.4), seed=1)
+        ids = np.array([7, 3, 150])
+        for graph in (loaded, normalize_features(loaded, split)):
+            rows = gather_batch(graph, ids).features
+            assert rows.dtype == np.float64 and rows.flags.c_contiguous
+            assert rows.shape == (3, 5)
+        assert normalize_features(loaded, split).features is loaded.features
 
 
 class TestSynthGenerate:
@@ -362,23 +454,27 @@ class TestSynthGenerate:
         u, v = g.relations["SYN"].T
         assert (g.labels[u] != g.labels[v]).all()
 
-    def test_per_edge_arrays_are_freed_before_the_union(self):
-        # Only the edge list and the features may be live beside
-        # build_union_adj's own peak; the per-edge draws kept alive through it
-        # made the peak 1.9 times the union's.
-        n = 10_000
+    def test_per_edge_arrays_are_freed_before_the_union(self, monkeypatch):
+        # When build_union_adj starts, synth_generate must hold only the
+        # features, the labels and the pairs (8 n d + n + 8 E bytes; measured
+        # 3.5 KB above that). The per-edge draws kept alive through the build
+        # would add at least the 16 E bytes of the endpoint arrays.
+        cfg = SynthConfig(num_nodes=10_000, feature_dim=8, avg_degree=40, seed=4)
+        n, d, e = cfg.num_nodes, cfg.feature_dim, round(cfg.avg_degree * cfg.num_nodes / 2)
+        live = []
+
+        def watched(*args):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return build_union_adj(*args)
+
+        monkeypatch.setattr(graphdata, "build_union_adj", watched)
         tracemalloc.start()
         try:
-            g = synth_generate(SynthConfig(num_nodes=n, feature_dim=8, avg_degree=40,
-                                           seed=4))
-            _, synth_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            base, _ = tracemalloc.get_traced_memory()
-            build_union_adj(g.relations, n)
-            _, union_peak = tracemalloc.get_traced_memory()
+            synth_generate(cfg)
         finally:
             tracemalloc.stop()
-        assert synth_peak <= 1.5 * (union_peak - base)
+        assert len(live) == 1
+        assert live[0] <= 8 * n * d + n + 8 * e + 2 ** 16
 
     @pytest.mark.parametrize("cfg", [
         SynthConfig(num_nodes=5000, feature_dim=8, avg_degree=10, seed=4),

@@ -158,23 +158,24 @@ def test_scope_finds_the_controls_of_numpys_openblas():
 
 
 # Under OPENBLAS_NUM_THREADS=2: train once, then sleep; train again with a
-# step that raises; then evaluate alone. Prints OpenBLAS's thread count at
-# each point, inside every Adam step and every predict of the standalone
-# evaluate, and the CPU time used in the sleep.
+# step that raises; then evaluate alone, then predict alone. Prints
+# OpenBLAS's thread count at each point, inside every Adam step and every
+# forward of the standalone evaluate and predict, and the CPU time used in
+# the sleep.
 SCOPE_CHILD = """
 import json, time
 from dignn import autodiff as ad, model, threads, trainer
 from dignn.errors import DivergenceError
-from dignn.graphdata import (SynthConfig, normalize_features, stratified_split,
-                             synth_generate)
+from dignn.graphdata import (SynthConfig, gather_batch, normalize_features,
+                             stratified_split, synth_generate)
 
 g = synth_generate(SynthConfig(num_nodes=3000, feature_dim=16, seed=3))
 split = stratified_split(g, (0.4, 0.2, 0.4), seed=1)
 g = normalize_features(g, split)
 cfg = trainer.TrainConfig(epochs=1, seed=5)
 out = {"start": threads.blas_threads(), "in_step": [], "in_evaluate": [],
-       "raised": False}
-step, predict = ad.Adam.step, model.predict
+       "in_predict": [], "raised": False}
+step, encode = ad.Adam.step, model.encode_views
 
 def watched(self, loss):
     out["in_step"].append(threads.blas_threads())
@@ -195,13 +196,17 @@ except DivergenceError:
     out["raised"] = True
 out["after_raise"] = threads.blas_threads()
 
-def watched_predict(*args):
-    out["in_evaluate"].append(threads.blas_threads())
-    return predict(*args)
+def watched_encode(*args):  # inside forward, whose scope holds one thread
+    out[where].append(threads.blas_threads())
+    return encode(*args)
 
-model.predict = watched_predict
+model.encode_views = watched_encode
+where = "in_evaluate"
 trainer.evaluate(params, g, split.test)
 out["after_evaluate"] = threads.blas_threads()
+where = "in_predict"
+model.predict(params, gather_batch(g, split.test), params.cfg)
+out["after_predict"] = threads.blas_threads()
 print(json.dumps(out))
 """
 
@@ -230,9 +235,10 @@ def test_no_blas_thread_spins_after_train(scope_child):
 def test_scope_holds_one_thread_and_restores_two(scope_child):
     assert scope_child["in_step"] and set(scope_child["in_step"]) == {1}
     assert scope_child["in_evaluate"] and set(scope_child["in_evaluate"]) == {1}
+    assert scope_child["in_predict"] == [1]
     assert scope_child["raised"] is True
     assert (scope_child["after_train"], scope_child["after_raise"],
-            scope_child["after_evaluate"]) == (2, 2, 2)
+            scope_child["after_evaluate"], scope_child["after_predict"]) == (2, 2, 2, 2)
 
 
 def test_nested_scope_sets_nothing(monkeypatch):
