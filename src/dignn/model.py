@@ -168,23 +168,21 @@ class DignnParams:
         reads: the encoders', attention's and classifier's. The decoders serve
         only training's losses, so their values are skipped, and a loaded model
         scores but does not train. The header, each tensor's header and its size
-        must be what ``save`` writes for the ``shape_spec`` its sizes imply, all
-        checked before the kept tensors are allocated."""
+        must be what ``save`` writes for the ``shape_spec`` its sizes imply. One
+        pass through the opened descriptor checks each tensor's header, and that
+        the file holds the tensor, before it allocates it or seeks past it."""
         try:
             fh = open(path, "rb")
         except OSError as exc:
             raise GraphLoadError(f"cannot open model file {path}: {exc}") from exc
-
-        def truncated():
-            return GraphLoadError(f"truncated model file: {path}")
-
+        truncated = GraphLoadError(f"truncated model file: {path}")
         with fh:
             size = os.fstat(fh.fileno()).st_size
             head = fh.read(MODEL_HEADER.size)
             if not head.startswith(MODEL_MAGIC):
                 raise GraphLoadError(f"not a model file: {path}")
             if len(head) < MODEL_HEADER.size:
-                raise truncated()
+                raise truncated
             _, version, n, d_in, d, h, n_tensors, flag = MODEL_HEADER.unpack(head)
             cfg = DignnConfig(embed_dim=d, hidden_dim=h)
             spec = cls.shape_spec(n, d_in, cfg)
@@ -192,38 +190,29 @@ class DignnParams:
                 raise GraphLoadError(f"unsupported model header in {path}: version "
                                      f"{version}, flag byte {flag}, {n_tensors} tensors "
                                      f"(want {MODEL_VERSION}, {MODEL_FLAG}, {len(spec)})")
-            kept = []
+            tensors = OrderedDict()
             for name, shape in spec:
                 expected = _tensor_header(name, shape)
                 found = fh.read(len(expected))
                 if found != expected:
-                    raise truncated() if len(found) < len(expected) else GraphLoadError(
+                    raise truncated if len(found) < len(expected) else GraphLoadError(
                         f"unexpected tensor header in {path}: {name!r} of shape "
                         f"{shape} belongs there")
-                if not name.startswith("dec_"):
-                    kept.append((name, shape, fh.tell()))
-                end = fh.tell() + 8 * shape[0] * shape[1]
-                if end > size:
-                    raise truncated()
-                fh.seek(end)
+                count = shape[0] * shape[1]
+                if fh.tell() + 8 * count > size:
+                    raise truncated
+                if name.startswith("dec_"):
+                    fh.seek(8 * count, os.SEEK_CUR)
+                    continue
+                a = np.fromfile(fh, np.float64, count)
+                if a.size < count:
+                    raise truncated
+                if sys.byteorder != "little":
+                    a.byteswap(inplace=True)
+                tensors[name] = Var(a.reshape(shape))
             if fh.tell() != size:
                 raise GraphLoadError(f"trailing bytes in model file {path}: {size} "
                                      f"bytes, the last tensor ends at {fh.tell()}")
-            tensors = OrderedDict()
-            for name, shape, offset in kept:
-                a = np.empty(shape)
-                buf = memoryview(a).cast("B")
-                done = 0
-                while done < buf.nbytes:
-                    # A positional read of the descriptor checked above, so a
-                    # file moved to ``path`` since then is never read.
-                    got = os.preadv(fh.fileno(), [buf[done:]], offset + done)
-                    if got == 0:
-                        raise truncated()
-                    done += got
-                if sys.byteorder != "little":
-                    a.byteswap(inplace=True)
-                tensors[name] = Var(a)
         return cls(tensors, n, d_in, cfg)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dignn import autodiff as ad
-from dignn import cli
+from dignn import cli, graphdata
 from dignn import model as M
 from dignn.cli import (
     CONFIG_KEYS, EXIT_DIVERGENCE, EXIT_GRADCHECK, EXIT_LOAD, EXIT_OK, EXIT_USAGE,
@@ -384,6 +384,50 @@ def test_failure_table(fails, row):
     fails(*row)
 
 
+class TestGraphChangedWhileLoaded:
+    """A graph file that changes size after ``load_graph`` took its size is
+    a load error, however the read meets the change."""
+
+    def train(self, capsys, graph, fragment):
+        out = graph.parent / "o"
+        _exits(capsys, ["train", "--data", str(graph), "--epochs", "1",
+                        "--out", str(out)], EXIT_LOAD, fragment, str(out))
+
+    def test_features_cut_after_the_size_check(self, data_dir, tmp_path, capsys,
+                                               monkeypatch):
+        graph = tmp_path / "g"
+        shutil.copytree(data_dir, graph)
+        fromfile = np.fromfile
+
+        def cut_then_read(file, *args, **kwargs):
+            if str(file).endswith("features.f32le"):
+                _bytes(lambda b: b[:-4])(Path(file))
+            return fromfile(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "fromfile", cut_then_read)
+        self.train(capsys, graph,
+                   f"features: expected 1600 values in {graph}/features.f32le, found 1599")
+
+    @pytest.mark.parametrize("change, found", [
+        (lambda b: b + _U32(0) + _U32(1), 2), (lambda b: b[:-8], -2),
+    ], ids=["grown", "shrunk"])
+    def test_edge_file_changed_after_it_was_counted(self, data_dir, tmp_path, capsys,
+                                                    monkeypatch, change, found):
+        graph = tmp_path / "g"
+        shutil.copytree(data_dir, graph)
+        edges = graph / "edges_SYN.u32le"
+        count = edges.stat().st_size // 4
+        build = graphdata.build_union_adj
+
+        def change_then_build(*args):  # after every edge file was counted
+            _bytes(change)(edges)
+            return build(*args)
+
+        monkeypatch.setattr(graphdata, "build_union_adj", change_then_build)
+        self.train(capsys, graph,
+                   f"edges: expected {count} values in {edges}, found {count + found}")
+
+
 def test_non_ascii_relation_runs_under_the_c_locale(tmp_path, capsys):
     # Under the C locale with UTF-8 mode off, the locale's encoding is ASCII.
     # meta.json and the manifest are read as UTF-8 whatever it is, an edge
@@ -734,16 +778,16 @@ class TestEval:
         # checked, so the read of that kept tensor meets the file's end.
         run = _copy_run(trained_run, tmp_path)
         path = run / "model.bin"
-        preadv = os.preadv
+        fromfile = np.fromfile
         cut = []
 
-        def truncate_then_read(fd, buffers, offset):
-            if not cut:
-                cut.append(offset)
-                os.truncate(path, offset + 8)
-            return preadv(fd, buffers, offset)
+        def truncate_then_read(file, *args, **kwargs):
+            if not cut and hasattr(file, "tell"):  # the model's, not a graph file's
+                cut.append(file.tell())
+                os.truncate(path, file.tell() + 8)
+            return fromfile(file, *args, **kwargs)
 
-        monkeypatch.setattr(os, "preadv", truncate_then_read)
+        monkeypatch.setattr(np, "fromfile", truncate_then_read)
         _exits(capsys, ["eval", "--run", str(run)], EXIT_LOAD,
                f"truncated model file: {path}")
         assert cut == [51]  # enc_a_w1's first value

@@ -130,6 +130,13 @@ class TestBuildUnionAdj:
     def test_no_relations(self):
         assert self.check({}, 3).nnz == 0
 
+    def test_pairs_other_than_counted_raise(self):
+        # Short of the count, the code array's tail would be unset, not dropped.
+        pairs = np.array([[0, 1], [1, 2]], dtype=np.uint32)
+        for counted in (3, 1):
+            with pytest.raises(ValueError):
+                build_union_adj([pairs], 3, counted)
+
     def test_synth_graph(self):
         g = synth_generate(SynthConfig(num_nodes=5000, avg_degree=40, seed=11))
         assert self.check(g.relations, g.num_nodes).nnz > 150_000
