@@ -61,14 +61,11 @@ def _accumulate(v: Var, d: np.ndarray) -> None:
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum gradient over axes that were broadcast from size 1."""
-    if g.shape == shape:
-        return g
-    out = g
     if shape[0] == 1 and g.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
+        g = g.sum(axis=0, keepdims=True)
     if shape[1] == 1 and g.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
+        g = g.sum(axis=1, keepdims=True)
+    return g
 
 
 def _broadcastable(sa, sb):
@@ -197,13 +194,13 @@ def mse(pred: Var, target) -> Var:
 
 
 def _compact_columns(indices: np.ndarray, cols: int):
-    """The sorted distinct values ``used`` of ``indices`` (each in
-    [0, cols)) and each entry's position in ``used``: the result of
-    ``np.unique(indices, return_inverse=True)``, from a boolean mask over the
-    columns and its running count, in O(nnz + cols) and without a sort."""
+    """The sorted distinct values ``used`` of ``indices`` (each in [0, cols))
+    and each entry's position in ``used``, in the dtype of ``indices``: what
+    ``np.unique(indices, return_inverse=True)`` gives, from a boolean mask
+    over the columns and its running count, in O(nnz + cols), with no sort."""
     mask = np.zeros(cols, dtype=bool)
     mask[indices] = True
-    return np.flatnonzero(mask), np.cumsum(mask)[indices] - 1
+    return np.flatnonzero(mask), (np.cumsum(mask, dtype=indices.dtype) - 1)[indices]
 
 
 def _joined_rows(w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,20 +216,21 @@ def _joined_rows(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
-    """mean((h @ w + b - target)**2) for a constant sparse target, without
+    """mean((h @ w + b - target)**2) for a constant binary target, without
     forming the (rows, cols) prediction.
 
     With h1 = [h | 1], W1 = [w; b] and A = target, the prediction is h1 W1 and
-    ||h1 W1 - A||^2 = <h1^T h1, W1 W1^T> - 2<h1, A W1^T> + ||A||^2, so the
+    ||h1 W1 - A||^2 = <h1^T h1, W1 W1^T> - 2<h1, A W1^T> + nnz(A), so the
     forward needs only (k+1)-wide products, and A W1^T reads only the columns
     that A uses. The gradients take the same closed form (the Gramian identity
     of implicit-feedback matrix factorization): dh1 = c(h1 W1 W1^T - A W1^T)
     and dW1 = c(h1^T h1 W1 - h1^T A).
 
-    W1 is read in place, so w and b must be consecutive row-views of one
+    W1 and A are read in place: w and b must be consecutive row-views of one
     (k+1, cols) array (``DignnParams`` allocates ``dec_a_w2`` and
-    ``dec_a_b2`` so); anything else raises ``DimensionError``. Their grads
-    are row-views of one array too.
+    ``dec_a_b2`` so), and A a canonical CSR matrix (sorted, each entry once)
+    of ones, as ``gather_batch``'s rows are; anything else raises
+    ``DimensionError``. The grads of w and b are row-views of one array too.
 
     The cols-wide products run as two halves (``threads.run_in_two``), each
     with the bits of one call: in the forward, the one W1 W1^T call on the
@@ -242,14 +240,13 @@ def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
     """
     rows, k = h.value.shape
     cols = w.value.shape[1]
-    if w.value.shape[0] != k or b.value.shape != (1, cols) or target.shape != (rows, cols):
-        raise DimensionError(
-            f"sparse_target_mse: h {h.value.shape}, w {w.value.shape}, "
-            f"b {b.value.shape}, target {target.shape}"
-        )
+    if (w.value.shape[0] != k or b.value.shape != (1, cols) or target.shape != (rows, cols)
+            or getattr(target, "format", None) != "csr" or not target.has_canonical_format
+            or (target.data != 1).any()):
+        raise DimensionError(f"sparse_target_mse: h {h.value.shape}, w {w.value.shape}, "
+                             f"b {b.value.shape}, target {target.shape} (a canonical CSR "
+                             "matrix of ones)")
     w1 = _joined_rows(w.value, b.value)              # (k+1, cols)
-    target = sp.csr_matrix(target, dtype=np.float64, copy=True)
-    target.sum_duplicates()  # ||A||^2 = sum(data^2) holds for unique entries only
     used, col_of = _compact_columns(target.indices, cols)
     a_used = sp.csr_matrix((target.data, col_of, target.indptr), shape=(rows, used.size))
     h1 = np.hstack([h.value, np.ones((rows, 1))])    # (rows, k+1)
@@ -264,9 +261,8 @@ def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
     # W1 W1^T stays one call (numpy runs it as SYRK; row halves would run as
     # GEMM, with other bits) on the second thread, beside the batch side.
     threads.run_in_two(batch_side, partial(np.matmul, w1, w1.T, out=w1w1))
-    a_sq = float((target.data * target.data).sum())
     n = rows * cols
-    loss = float((gram * w1w1).sum()) - 2.0 * float((h1 * aw1).sum()) + a_sq
+    loss = float((gram * w1w1).sum()) - 2.0 * float((h1 * aw1).sum()) + float(target.nnz)
     out = Var(np.array([[loss / n]]), parents=(h, w, b))
 
     def bwd(g):

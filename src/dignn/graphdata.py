@@ -291,7 +291,8 @@ def make_batches(ids, batch_size: int) -> list[np.ndarray]:
 
 
 def gather_batch(g: FraudGraph, ids) -> BatchSubgraph:
-    """Nodes ``ids``' float64 ``feature_rows``, adjacency rows and labels."""
+    """Nodes ``ids``' float64 ``feature_rows``, adjacency rows and labels. The
+    rows are canonical int8 ones, which ``ad.sparse_target_mse`` reads in place."""
     ids = np.asarray(ids)
     labels = g.labels[ids].astype(np.int64)
     if (labels < 0).any():

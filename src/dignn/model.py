@@ -156,6 +156,8 @@ class DignnParams:
             self.tensors[n].value[...] = value
 
     def save(self, path: str):
+        if len(self.tensors) < len(self.shape_spec(self.n_nodes, self.feat_dim, self.cfg)):
+            raise ValueError("a loaded model holds no decoders to save")
         with open(path, "wb") as fh:
             fh.write(_file_header(self.n_nodes, self.feat_dim, self.cfg, len(self.tensors)))
             for name, var in self.tensors.items():

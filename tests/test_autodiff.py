@@ -315,26 +315,25 @@ class TestMse:
             ad.mse(ad.Var(np.ones((2, 2))), np.ones((2, 3)))
 
 
+def _binary_target(rows, cols, density, seed):
+    """A random canonical CSR target of int8 ones, as ``gather_batch`` gives."""
+    t = sp.random(rows, cols, density=density, random_state=seed, format="csr")
+    return sp.csr_matrix((np.ones(t.nnz, dtype=np.int8), t.indices, t.indptr),
+                         shape=t.shape)
+
+
 def _sparse_targets(rows, cols, seed):
-    """Named targets covering the cases the closed form must handle."""
-    binary = sp.random(rows, cols, density=0.3, random_state=seed, format="csr")
-    binary.data[:] = 1.0
-    weighted = sp.random(rows, cols, density=0.3, random_state=seed + 1,
-                         format="csr", data_rvs=lambda n: np.linspace(-2.5, 3.0, n))
+    """Named binary targets covering the cases the closed form must handle."""
     empty_rows = sp.random(rows, cols, density=0.5, random_state=seed + 2,
                            format="lil")
     empty_rows[::2] = 0.0
-    # Not in canonical form: entry (0, 1) is stored twice, and the matrix
-    # holds the sum of the two.
-    data, indices = np.array([0.7, 0.4, -1.2, 2.0]), np.array([1, 1, 4, 0])
-    indptr = np.array([0, 3, 3] + [4] * (rows - 2))
-    duplicates = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
+    empty_rows = sp.csr_matrix(empty_rows)
+    empty_rows.data[:] = 1.0
     return {
-        "binary": binary,
-        "weighted": weighted,
-        "empty_rows": sp.csr_matrix(empty_rows),
+        "binary": _binary_target(rows, cols, 0.3, seed),
+        "float_ones": _binary_target(rows, cols, 0.3, seed + 1).astype(np.float64),
+        "empty_rows": empty_rows,
         "all_zero": sp.csr_matrix((rows, cols)),
-        "duplicates": duplicates,
     }
 
 
@@ -363,8 +362,7 @@ class TestSparseTargetMse:
         ad.backward(ad.mul(loss, 1.7))  # an upstream gradient other than 1
         return [loss.value] + [v.grad for v in leaves]
 
-    @pytest.mark.parametrize("kind", ["binary", "weighted", "empty_rows", "all_zero",
-                                      "duplicates"])
+    @pytest.mark.parametrize("kind", list(_sparse_targets(ROWS, COLS, 3)))
     def test_matches_dense_mse(self, kind):
         target = _sparse_targets(self.ROWS, self.COLS, 3)[kind]
         stored = target.nnz
@@ -376,9 +374,29 @@ class TestSparseTargetMse:
         for g, d in zip(got, want):
             assert np.max(np.abs(g - d)) <= 1e-12 * np.max(np.abs(d))
 
+    @pytest.mark.parametrize("kind", ["weighted", "duplicates", "unsorted"])
+    def test_rejects_a_target_other_than_canonical_ones(self, kind):
+        # The op reads the target in place and takes ||A||^2 as its entry
+        # count, so a weighted target, or one that stores an entry twice or
+        # out of order, raises rather than giving a wrong loss.
+        data, indices = {
+            "weighted": ([0.7, 0.4, -1.2, 2.0], [0, 1, 4, 0]),
+            "duplicates": ([1.0] * 4, [1, 1, 4, 0]),  # entry (0, 1) stored twice
+            "unsorted": ([1.0] * 4, [4, 1, 0, 0]),
+        }[kind]
+        indptr = np.array([0, 3, 3] + [4] * (self.ROWS - 2))
+        target = sp.csr_matrix((np.array(data), np.array(indices), indptr),
+                               shape=(self.ROWS, self.COLS))
+        stored = [a.copy() for a in (target.data, target.indices, target.indptr)]
+        h_val, w_val, b_val = self._leaves(4)
+        with pytest.raises(DimensionError, match="canonical CSR matrix of ones"):
+            ad.sparse_target_mse(ad.Var(h_val), *joined_leaves(w_val, b_val), target)
+        for now, before in zip((target.data, target.indices, target.indptr), stored):
+            assert np.array_equal(now, before)  # the caller's matrix is left as it was
+
     def test_matches_finite_differences(self):
         for cols in (self.COLS, 130):  # 130: the product runs as two column halves
-            target = _sparse_targets(self.ROWS, cols, 5)["weighted"]
+            target = _sparse_targets(self.ROWS, cols, 5)["binary"]
             h_val, w_val, b_val = self._leaves(6, cols)
             leaves = [ad.Var(h_val), *joined_leaves(w_val, b_val)]
             ad.backward(ad.sparse_target_mse(*leaves, target))
@@ -402,8 +420,7 @@ class TestSparseTargetMse:
         # in one call, as the op did before it split them.
         rows = 64
         rng = np.random.default_rng(cols + k)
-        target = sp.random(rows, cols, density=min(10 / cols, 0.3), random_state=k,
-                           format="csr")
+        target = _binary_target(rows, cols, min(10 / cols, 0.3), k)
         h_val = rng.standard_normal((rows, k))
         w1 = rng.standard_normal((k + 1, cols))
         starts, real_start = [], threading.Thread.start
@@ -468,39 +485,41 @@ class TestSparseTargetMse:
 
     PEAK_ROWS, PEAK_K, PEAK_COLS = 256, 16, 20_000
 
-    def _peak_bytes(self, row_nnz=10):
-        """Traced peak of one forward plus backward, leaves and grads excluded,
-        for a target with about ``row_nnz`` entries per row."""
+    def _traced_bytes(self, row_nnz=10):
+        """Traced bytes kept after one forward, and the traced peak of it plus
+        its backward, leaves excluded, for a target of int8 ones with
+        ``row_nnz`` entries per row."""
         rows, k, cols = self.PEAK_ROWS, self.PEAK_K, self.PEAK_COLS
         rng = np.random.default_rng(0)
-        target = sp.random(rows, cols, density=row_nnz / cols, random_state=0,
-                           format="csr")
+        target = _binary_target(rows, cols, row_nnz / cols, 0)
         h = ad.Var(rng.standard_normal((rows, k)))
         w, b = joined_leaves(rng.standard_normal((k, cols)),
                              rng.standard_normal((1, cols)))
         tracemalloc.start()
         try:
-            ad.backward(ad.sparse_target_mse(h, w, b, target))
+            loss = ad.sparse_target_mse(h, w, b, target)
+            kept, _ = tracemalloc.get_traced_memory()
+            ad.backward(loss)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak
+        return kept, peak
 
     def test_never_allocates_dense_output(self):
-        assert self._peak_bytes() < 0.5 * self.PEAK_ROWS * self.PEAK_COLS * 8
+        assert self._traced_bytes()[1] < 0.5 * self.PEAK_ROWS * self.PEAK_COLS * 8
 
     def test_peak_is_a_few_augmented_weight_copies(self):
         # The augmented weights [w; b] and their gradient are one (k+1, cols)
         # array each; nothing else of that size may be live at once.
         unit = (self.PEAK_K + 1) * self.PEAK_COLS * 8
-        assert self._peak_bytes() <= 2.5 * unit
+        assert self._traced_bytes()[1] <= 2.5 * unit
 
     def test_weights_are_read_in_place(self):
         # [w; b] is read where it lies, so the gradient is the only (k+1, cols)
         # array the op allocates. The used-column gather and h1^T A are
         # arrays of about 0.13 of one each here (1.19 in all).
         unit = (self.PEAK_K + 1) * self.PEAK_COLS * 8
-        assert self._peak_bytes() <= 1.5 * unit
+        assert self._traced_bytes()[1] <= 1.5 * unit
 
     def test_used_column_scatter_holds_two_temporaries(self):
         # 180 entries per row use about 90% of the columns. Beside the
@@ -509,7 +528,17 @@ class TestSparseTargetMse:
         # at a time; dw1[:, used] -= h1ta would gather a copy of another 0.9
         # (3.1), and a scaled copy of h1^T A would add 0.9 more.
         unit = (self.PEAK_K + 1) * self.PEAK_COLS * 8
-        assert self._peak_bytes(row_nnz=180) <= 2.5 * unit
+        assert self._traced_bytes(180)[1] <= 2.5 * unit
+
+    def test_forward_keeps_no_copy_of_its_target(self):
+        # After the forward the op holds h1 and A W1^T, W1 W1^T and h1^T h1,
+        # and the used columns (at most 8 bytes a column) with each entry's
+        # int32 position among them, beside the target's own arrays. A float64
+        # copy of the target would add 12 bytes an entry, an int64 map 4 more.
+        rows, k, cols, row_nnz = self.PEAK_ROWS, self.PEAK_K, self.PEAK_COLS, 180
+        bound = (2 * rows * (k + 1) * 8 + 2 * (k + 1) ** 2 * 8
+                 + 4 * rows * row_nnz + 8 * cols + 2 ** 16)
+        assert self._traced_bytes(row_nnz)[0] <= bound
 
 
 def _compaction_targets():
@@ -535,6 +564,7 @@ def test_compact_columns_matches_unique(kind):
     want_used, want_col_of = np.unique(indices, return_inverse=True)
     assert np.array_equal(used, want_used)
     assert np.array_equal(col_of, want_col_of)
+    assert col_of.dtype == indices.dtype
     assert np.array_equal(used[col_of], indices)
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import dignn.autodiff as ad
 import dignn.graphdata as graphdata
@@ -284,6 +285,20 @@ class TestGatherBatch:
         for k, i in enumerate(ids):
             assert np.array_equal(batch.topo_rows[k].toarray(),
                                   g.union_adj[int(i)].toarray())
+
+    def test_rows_are_canonical_int8_ones(self):
+        # The pairs repeat edges, in both directions, and hold self-loops. The
+        # gathered rows are what ad.sparse_target_mse reads in place: each
+        # entry stored once, in column order, as an int8 one.
+        edges = [(0, 1), (1, 0), (0, 1), (2, 2), (3, 1), (1, 3), (4, 4), (3, 0), (3, 0)]
+        g = toy_graph(edges=edges, labels=[0, 1, 0, 1, 0])
+        rows = gather_batch(g, [3, 1, 3, 4, 0]).topo_rows
+        assert rows.dtype == np.int8 and np.all(rows.data == 1)
+        # A fresh matrix on the same arrays checks the format, not a cached flag.
+        fresh = sp.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
+        assert rows.has_canonical_format and fresh.has_canonical_format
+        assert [rows[k].indices.tolist() for k in range(5)] == [
+            [0, 1], [0, 3], [0, 1], [], [1, 3]]
 
     def test_unlabeled_rejected(self):
         g = toy_graph(labels=[0, -1, 1])

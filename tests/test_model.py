@@ -27,6 +27,9 @@ def small_cfg(**over):
 def make_batch(n_nodes=6, b=4, d_in=4, seed=0):
     rng = np.random.default_rng(seed)
     topo = sp.random(b, n_nodes, density=0.4, random_state=seed, format="csr")
+    # int8 ones, as gather_batch gives
+    topo = sp.csr_matrix((np.ones(topo.nnz, dtype=np.int8), topo.indices, topo.indptr),
+                         shape=topo.shape)
     return BatchSubgraph(
         node_ids=np.arange(b),
         features=rng.standard_normal((b, d_in)),
@@ -68,6 +71,15 @@ class TestParams:
         assert (q.n_nodes, q.feat_dim) == (6, 4)
         with open(path, "rb") as fh:
             assert fh.read(31)[30] == 1  # the header's flag byte
+
+    def test_save_refuses_a_loaded_model(self, tmp_path):
+        # A loaded model holds only the scoring tensors, and a file of those
+        # alone is one that load refuses, so save raises before it opens one.
+        path = tmp_path / "m.bin"
+        DignnParams.init(6, 4, small_cfg(), seed=1).save(str(path))
+        with pytest.raises(ValueError, match="a loaded model holds no decoders to save"):
+            DignnParams.load(str(path)).save(str(tmp_path / "again.bin"))
+        assert not (tmp_path / "again.bin").exists()
 
     def test_load_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "m.bin"
