@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import threads
 from .errors import DimensionError, InvalidLabelError
@@ -51,12 +52,61 @@ class Var:
         return f"Var(shape={self.value.shape}, leaf={not self.parents})"
 
 
-def _accumulate(v: Var, d: np.ndarray) -> None:
-    """Add the contribution ``d`` to ``v.grad``. The first write assigns
-    ``d`` itself, later ones assign the new sum ``v.grad + d``. No grad array
-    is written once assigned, so ``d`` may be an array that another Var also
-    holds (an upstream grad passed through unchanged)."""
-    v.grad = d if v.grad is None else v.grad + d
+class _RowProduct:
+    """x^T g for a CSR x, kept as its factors: ``dense``'s weight grad over
+    data. It holds xt = x^T as CSR (cols, rows) and g (rows, width), and
+    forms a range of its rows only when asked, into an array the caller
+    gives, so a reader that walks it in chunks (``Adam``) never holds the
+    whole (cols, width) array. A range is formed by scipy's own kernel
+    behind ``csr @ ndarray``, ``csr_matvecs``, on that range's entries:
+    rows start at 0 and add x's rows in ascending order (as xt lists them),
+    as ``x.T @ g`` does, so every formed value has its bits."""
+
+    __slots__ = ("xt", "g", "shape")
+
+    def __init__(self, x: sp.csr_matrix, g: np.ndarray):
+        self.xt = x.T.tocsr()
+        self.g = np.ascontiguousarray(g)
+        self.shape = (x.shape[1], g.shape[1])
+
+    def rows_into(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        """Rows [r0, r1) of x^T g into ``out``, a flat float64 array of
+        (r1 - r0) * width values, returned. The kernel checks no size, and
+        it would fill a copy of an array that is not C-contiguous."""
+        if out.shape != ((r1 - r0) * self.shape[1],) or not out.flags.c_contiguous:
+            raise DimensionError(f"rows [{r0}, {r1}) of {self.shape} into {out.shape}")
+        indptr = self.xt.indptr
+        a, b = indptr[r0], indptr[r1]
+        out.fill(0.0)
+        _sparsetools.csr_matvecs(r1 - r0, self.g.shape[0], self.shape[1], indptr[r0:r1 + 1] - a,
+                                 self.xt.indices[a:b], self.xt.data[a:b], self.g.reshape(-1),
+                                 out)
+        return out
+
+    def values(self, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+        """The flat values [lo, hi) of x^T g, from the rows that hold them,
+        formed into the front of the flat array ``buf``: at most
+        (hi - lo) // width + 2 rows."""
+        width = self.shape[1]
+        r0, r1 = lo // width, -(-hi // width)
+        rows = self.rows_into(r0, r1, buf[:(r1 - r0) * width])
+        return rows[lo - r0 * width:hi - r0 * width]
+
+
+def _formed(d):
+    """``d`` as an array: a ``_RowProduct``'s rows all formed, else ``d``."""
+    if not isinstance(d, _RowProduct):
+        return d
+    return d.rows_into(0, d.shape[0], np.empty(d.shape[0] * d.shape[1])).reshape(d.shape)
+
+
+def _accumulate(v: Var, d) -> None:
+    """Add the contribution ``d`` (an array or a ``_RowProduct``) to
+    ``v.grad``. The first write assigns ``d`` itself, later ones assign the
+    new sum of the two, each formed first. No grad array is written once
+    assigned, so ``d`` may be an array that another Var also holds (an
+    upstream grad passed through unchanged)."""
+    v.grad = d if v.grad is None else _formed(v.grad) + _formed(d)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -127,7 +177,10 @@ def dense(x, w: Var, b: Var | None, act: str | None = None) -> Var:
     The bias is added and ``act`` applied in place on the product, so the
     node holds one (rows, cols) array. Its backward takes the steps of the
     product, bias and activation chain it replaces, in that chain's order:
-    g * act'(y), then the grads of b, x and w."""
+    g * act'(y), then the grads of b, x and w. For a CSR x, w's contribution
+    x^T g is a ``_RowProduct``: ``Adam`` forms it a chunk of rows at a time
+    as it updates w, and ``backward`` forms it whole, so a step never holds
+    an array of w's size for it."""
     data = not isinstance(x, Var)
     xv = x if data else x.value
     b_shape = None if b is None else b.value.shape
@@ -148,7 +201,7 @@ def dense(x, w: Var, b: Var | None, act: str | None = None) -> Var:
             _accumulate(b, _unbroadcast(g, b_shape))
         if not data:
             _accumulate(x, g @ w.value.T)
-        _accumulate(w, np.asarray(xv.T @ g))
+        _accumulate(w, _RowProduct(xv, g) if sp.issparse(xv) else xv.T @ g)
 
     out._backward = bwd
     return out
@@ -347,6 +400,7 @@ def _walk(loss: Var):
     loss.grad = np.ones((1, 1))
     for node in reversed(topo):
         if node.parents:
+            node.grad = _formed(node.grad)
             node._backward(node.grad)
         else:
             yield node
@@ -362,10 +416,12 @@ def backward(loss: Var):
     to ``None``. So a grad is never allocated just to be zero-filled, and
     after the pass every Var reachable from ``loss`` through ``parents``
     holds an array of its value's shape, while a Var the loss does not read
-    keeps ``None``.
+    keeps ``None``. A leaf's grad is formed as the walk yields it: a
+    ``_RowProduct`` (``dense``'s weight grad over CSR data) becomes its
+    array there.
     """
-    for _ in _walk(loss):
-        pass
+    for leaf in _walk(loss):
+        leaf.grad = _formed(leaf.grad)
 
 
 # Adam walks each tensor in chunks of this many float64 values (512 KB), so
@@ -376,6 +432,10 @@ def backward(loss: Var):
 # one half each took 14 ms. A tensor under two chunks is updated inline:
 # split, ``dec_a_b2``'s 45,954 values took no less time.
 ADAM_CHUNK = 65_536
+
+
+def _flat_range(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    return a[lo:hi]
 
 
 class Adam:
@@ -411,7 +471,9 @@ class Adam:
         both are still being summed. A tensor the loss does not reach keeps
         its value, moments and grad. A trained tensor's grad is ``None``
         between steps; one set before the step is added to like any other
-        contribution.
+        contribution. A grad still in factors (a ``_RowProduct``, ``dense``'s
+        weight grad over CSR data) is formed by ``_apply`` a chunk at a time,
+        so the step never holds that whole array.
         """
         self.t += 1
         names = {id(p): name for name, p in self.params.items()}
@@ -429,30 +491,43 @@ class Adam:
         of at least two chunks is split at the chunk boundary nearest half,
         and a thread started for the call updates the second part
         (``threads.run_in_two``), each part with its own scratch pair. Every
-        value's arithmetic is the same whatever the chunking or the split,
-        and nothing larger than the scratch pairs is allocated.
+        value's arithmetic is the same whatever the chunking or the split.
+        A grad that is an array is read in place, and nothing larger than
+        the scratch pairs is allocated. A ``_RowProduct`` grad is formed a
+        chunk at a time, each part forming the rows that hold its chunk into
+        its own rows buffer, which this call allocates before the split: a
+        chunk's values and two rows more. So the step's peak does not hang on
+        whether the two parts form at the same moment.
         """
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         decay = self.weight_decay if name not in self.no_decay else 0.0
-        flat = [a.reshape(-1) for a in (p.value, p.grad, self.m[name], self.v[name])]
+        size, g = p.value.size, p.grad
+        if isinstance(g, _RowProduct):
+            width = g.shape[1]
+            rows = np.empty((2, (min(size, ADAM_CHUNK) // width + 2) * width))
+            grads = [partial(g.values, buf=buf) for buf in rows]
+        else:
+            grads = 2 * [partial(_flat_range, g.reshape(-1))]
+        flat = [a.reshape(-1) for a in (p.value, self.m[name], self.v[name])]
         update = partial(self._update, flat, decay, c1, c2)
-        size = p.value.size
         if size < 2 * ADAM_CHUNK:
-            update(0, size, self._scratch[0])
+            update(grads[0], 0, size, self._scratch[0])
         else:
             half = (size + ADAM_CHUNK) // (2 * ADAM_CHUNK) * ADAM_CHUNK
-            threads.run_in_two(partial(update, 0, half, self._scratch[0]),
-                               partial(update, half, size, self._scratch[1]))
+            threads.run_in_two(partial(update, grads[0], 0, half, self._scratch[0]),
+                               partial(update, grads[1], half, size, self._scratch[1]))
         p.grad = None
 
-    def _update(self, flat, decay, c1, c2, start, stop, scratch):
-        """``_apply``'s update of the flat range [start, stop) of p, g, m and
-        v (``flat``), in chunks, with the (2, ``ADAM_CHUNK``) ``scratch``."""
+    def _update(self, flat, decay, c1, c2, grad, start, stop, scratch):
+        """``_apply``'s update of the flat range [start, stop) of p, m and v
+        (``flat``), in chunks, with the grad values ``grad(lo, hi)`` and the
+        (2, ``ADAM_CHUNK``) ``scratch``."""
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         for lo in range(start, stop, ADAM_CHUNK):
             hi = min(lo + ADAM_CHUNK, stop)
-            pc, gc, mc, vc = (a[lo:hi] for a in flat)
+            pc, mc, vc = (a[lo:hi] for a in flat)
+            gc = grad(lo, hi)
             s, u = (buf[:hi - lo] for buf in scratch)
             if decay:
                 np.multiply(pc, decay, out=s)

@@ -4,7 +4,9 @@ one thread while training or any ``model.forward`` runs.
 ``run_in_two`` runs two halves of one job at once, the second on a thread
 that the call starts and joins, so no dignn thread outlives a call. The jobs
 are the two runs of ``DignnParams.init``, the two parts of Adam's update of
-a large tensor, and, under ``full``, the two splits of
+a large tensor (each part also forming its own chunks of a grad that
+``autodiff.dense`` left as its factors, into a rows buffer the caller
+allocated), and, under ``full``, the two splits of
 ``autodiff.sparse_target_mse``'s (k+1)-wide products over all N columns.
 ``one_blas_thread`` holds OpenBLAS at one thread in ``train`` and in each
 ``model.forward`` (``evaluate``, ``predict``, ``export-embeddings``): a split

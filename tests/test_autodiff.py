@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import dignn.autodiff as ad
 import dignn.model as M
 from dignn.errors import DimensionError, InvalidLabelError
+from dignn.graphdata import build_union_adj
 
 
 def fd_grad(f, x, h=1e-6):
@@ -92,6 +93,18 @@ class TestDense:
             return float((ad.dense(x, w, b, act).value * g).sum())
         for var in y.parents:
             assert rel_err(fd_grad(loss, var.value), var.grad) <= 1e-4
+
+    def test_weight_grad_over_csr_is_an_array_after_backward(self):
+        # w is computed, not a leaf, so the walk forms its grad before it
+        # passes it on; after the pass both grads are arrays.
+        rng = np.random.default_rng(6)
+        leaf = ad.Var(rng.standard_normal((7, 3)))
+        w = ad.mul(leaf, 2.0)
+        g = rng.standard_normal((5, 3))
+        ad.backward(ad.sum_all(ad.mul(ad.dense(_csr_x(), w, None), g)))
+        want = _csr_x().toarray().T @ g
+        assert isinstance(w.grad, np.ndarray) and np.array_equal(w.grad, want)
+        assert np.array_equal(leaf.grad, 2.0 * want)
 
     @pytest.mark.parametrize("x, w, b", [
         (ad.Var(np.ones((2, 3))), (4, 1), (1, 1)),  # x width vs w rows
@@ -815,6 +828,77 @@ class TestAdam:
         assert not np.array_equal(got.params["att"].value, init["att"])
         assert np.array_equal(got.params["unused"].value, init["unused"])
         assert not got.m["unused"].any() and not got.v["unused"].any()
+
+    @staticmethod
+    def _union_rows(n, kind, rng):
+        """64 rows of a random union adjacency over n nodes: in ascending or
+        in drawn (permuted) id order, over the first half of the nodes only
+        (so the later columns, whole chunks of a wide w, are unused), or
+        with no entry at all."""
+        if kind == "empty":
+            return sp.csr_matrix((64, n), dtype=np.int8)
+        nodes = max(n // 2, 2) if kind == "unused_columns" else n
+        pairs = rng.integers(nodes, size=(3 * n, 2))
+        ids = rng.integers(nodes, size=64)
+        return build_union_adj([pairs], n, len(pairs))[ids if kind == "permuted" else np.sort(ids)]
+
+    @pytest.mark.parametrize("kind", ["sorted", "permuted", "unused_columns", "empty",
+                                      "preset_grad"])
+    @pytest.mark.parametrize("shape", [(30_000, 5), (3_000, 48), (2_100, 64), (3, 70_000)],
+                             ids=["width_5", "width_48", "width_64", "rows_wider_than_a_chunk"])
+    def test_dense_weight_grad_by_chunks_matches_the_formed_product(self, shape, kind):
+        # Adam forms a dense weight's grad over CSR data a chunk at a time;
+        # the oracle is fed the whole product x^T g, formed as x.T @ g, and
+        # any grad set before the step added to it. Widths 5 and 48 put the
+        # chunk boundaries and the split mid-row; a 70,000-wide row spans
+        # more than a chunk.
+        rng = np.random.default_rng(23)
+        init = rng.standard_normal(shape)
+        steps = []
+        for _ in range(3):
+            x = self._union_rows(shape[0], kind, rng)
+            g = rng.standard_normal((x.shape[0], shape[1]))
+            preset = rng.standard_normal(shape) if kind == "preset_grad" else None
+            steps.append((x, g, preset))
+        runs = []
+        for by_chunks in (True, False):
+            w = ad.Var(init.copy())
+            opt = ad.Adam({"w": w}, lr=0.01, weight_decay=0.0005)
+            for x, g, preset in steps:
+                w.grad = preset
+                if by_chunks:
+                    opt.step(injected_loss((ad.dense(x, w, None), g)))
+                    assert w.grad is None
+                else:
+                    formed = np.asarray(x.T @ g)
+                    w.grad = formed if preset is None else preset + formed
+                    self._unfused_step(opt)
+            runs.append(opt)
+        got, want = runs
+        assert np.array_equal(got.params["w"].value, want.params["w"].value)
+        assert np.array_equal(got.m["w"], want.m["w"])
+        assert np.array_equal(got.v["w"], want.v["w"])
+        assert not np.array_equal(got.params["w"].value, init)
+
+    def test_step_forms_no_whole_dense_weight_grad(self):
+        # The topology encoder's first layer at a small N: its grad over a
+        # batch of union rows is formed a chunk at a time as Adam updates it.
+        # Formed whole, it alone would be w's size.
+        rng = np.random.default_rng(0)
+        pairs = rng.integers(20_000, size=(100_000, 2))
+        x = build_union_adj([pairs], 20_000, len(pairs))[rng.choice(20_000, 256, replace=False)]
+        assert x.nnz == 2_564
+        w = ad.Var(rng.standard_normal((20_000, 64)))
+        opt = ad.Adam({"w": w}, lr=0.001, weight_decay=0.0005)
+        loss = ad.sum_all(ad.dense(x, w, None))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            opt.step(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < w.value.nbytes / 4
 
     def test_applies_each_grad_as_soon_as_it_is_final(self, monkeypatch):
         # The walk reaches w_top's only consumer first. w_top is a leaf found
