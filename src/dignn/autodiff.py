@@ -34,7 +34,9 @@ def _as_matrix(x) -> np.ndarray:
 
 class Var:
     """A node in the computation graph: value, gradient (``None`` until a
-    backward pass writes it; see ``backward``), parent links."""
+    backward pass writes it; see ``backward``), parent links, and the
+    closure that pushes its grad to its parents, which each op passes to
+    the constructor (a leaf has none)."""
 
     __slots__ = ("value", "grad", "parents", "_backward")
 
@@ -130,14 +132,12 @@ def add(a: Var, b) -> Var:
     if not _broadcastable(a.shape, bv.shape):
         raise DimensionError(f"add: shape {a.shape} vs {bv.shape}")
     parents = (a,) if data else (a, b)
-    out = Var(a.value + bv, parents=parents)
 
     def bwd(g):
         for v in parents:
             _accumulate(v, _unbroadcast(g, v.value.shape))
 
-    out._backward = bwd
-    return out
+    return Var(a.value + bv, parents, backward=bwd)
 
 
 def mul(a: Var, b) -> Var:
@@ -147,15 +147,13 @@ def mul(a: Var, b) -> Var:
     bv = _as_matrix(b) if data else b.value
     if not _broadcastable(a.shape, bv.shape):
         raise DimensionError(f"mul: shape {a.shape} vs {bv.shape}")
-    out = Var(a.value * bv, parents=(a,) if data else (a, b))
 
     def bwd(g):
         _accumulate(a, _unbroadcast(g * bv, a.value.shape))
         if not data:
             _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
 
-    out._backward = bwd
-    return out
+    return Var(a.value * bv, (a,) if data else (a, b), backward=bwd)
 
 
 # The activations ``dense`` applies: each one's forward, which overwrites its
@@ -192,7 +190,6 @@ def dense(x, w: Var, b: Var | None, act: str | None = None) -> Var:
         y += b.value
     if forward is not None:
         forward(y)
-    out = Var(y, parents=tuple(v for v in (x, w, b) if isinstance(v, Var)))
 
     def bwd(g):
         if derivative is not None:
@@ -203,31 +200,25 @@ def dense(x, w: Var, b: Var | None, act: str | None = None) -> Var:
             _accumulate(x, g @ w.value.T)
         _accumulate(w, _RowProduct(xv, g) if sp.issparse(xv) else xv.T @ g)
 
-    out._backward = bwd
-    return out
+    return Var(y, tuple(v for v in (x, w, b) if isinstance(v, Var)), backward=bwd)
 
 
 def sigmoid(v: Var) -> Var:
     """Elementwise logistic function; like the ``ACTIVATIONS``, its local
     derivative y(1 - y) is formed only by a backward pass."""
     y = 0.5 * (1.0 + np.tanh(0.5 * v.value))
-    out = Var(y, parents=(v,))
 
     def bwd(g):
         _accumulate(v, g * (y * (1.0 - y)))
 
-    out._backward = bwd
-    return out
+    return Var(y, (v,), backward=bwd)
 
 
 def sum_all(v: Var) -> Var:
-    out = Var(np.array([[v.value.sum()]]), parents=(v,))
-
     def bwd(g):
         _accumulate(v, np.full(v.value.shape, g[0, 0]))
 
-    out._backward = bwd
-    return out
+    return Var(np.array([[v.value.sum()]]), (v,), backward=bwd)
 
 
 def mse(pred: Var, target) -> Var:
@@ -237,13 +228,11 @@ def mse(pred: Var, target) -> Var:
         raise DimensionError(f"mse: shape {pred.value.shape} vs {target.shape}")
     diff = pred.value - target
     n = diff.size
-    out = Var(np.array([[float((diff * diff).sum()) / n]]), parents=(pred,))
 
     def bwd(g):
         _accumulate(pred, (2.0 / n) * diff * g[0, 0])
 
-    out._backward = bwd
-    return out
+    return Var(np.array([[float((diff * diff).sum()) / n]]), (pred,), backward=bwd)
 
 
 def _compact_columns(indices: np.ndarray, cols: int):
@@ -316,7 +305,6 @@ def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
     threads.run_in_two(batch_side, partial(np.matmul, w1, w1.T, out=w1w1))
     n = rows * cols
     loss = float((gram * w1w1).sum()) - 2.0 * float((h1 * aw1).sum()) + float(target.nnz)
-    out = Var(np.array([[loss / n]]), parents=(h, w, b))
 
     def bwd(g):
         c = 2.0 * g[0, 0] / n
@@ -339,8 +327,7 @@ def sparse_target_mse(h: Var, w: Var, b: Var, target: sp.csr_matrix) -> Var:
         _accumulate(w, dw1[:k])                      # disjoint views of dw1
         _accumulate(b, dw1[k:])
 
-    out._backward = bwd
-    return out
+    return Var(np.array([[loss / n]]), (h, w, b), backward=bwd)
 
 
 def ce_with_logits(logits: Var, labels) -> Var:
@@ -357,7 +344,6 @@ def ce_with_logits(logits: Var, labels) -> Var:
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     n = labels.shape[0]
     nll = lse - z[np.arange(n), labels]
-    out = Var(np.array([[nll.mean()]]), parents=(logits,))
     probs = np.exp(z - lse[:, None])
 
     def bwd(g):
@@ -365,8 +351,7 @@ def ce_with_logits(logits: Var, labels) -> Var:
         delta[np.arange(n), labels] -= 1.0
         _accumulate(logits, (g[0, 0] / n) * delta)
 
-    out._backward = bwd
-    return out
+    return Var(np.array([[nll.mean()]]), (logits,), backward=bwd)
 
 
 def _walk(loss: Var):

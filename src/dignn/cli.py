@@ -212,11 +212,15 @@ def _write_atomic(path: str, write):
                 os.remove(tmp)
 
 
-def _sha256(path: str) -> str:
+def _sha256(file) -> str:
+    """SHA-256 of the file at a path, or of an open binary file from its start."""
+    if not hasattr(file, "read"):  # a path
+        with open(file, "rb") as fh:
+            return _sha256(fh)
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(partial(fh.read, 1 << 20), b""):
-            digest.update(chunk)
+    file.seek(0)
+    for chunk in iter(partial(file.read, 1 << 20), b""):
+        digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -248,17 +252,20 @@ def _load_run(run_dir: str):
     build_train_config(cfg)  # checks the manifest's values as train does
     _, graph, split = _load_data(data_dir, cfg, recorded)
     model_path = os.path.join(run_dir, "model.bin")
-    params = DignnParams.load(model_path)
-    # A model.bin copied in from another run need not fit this graph, and
-    # one that fits need not be the model this run trained.
-    if params.n_nodes != graph.num_nodes or params.feat_dim != graph.feature_dim:
-        raise GraphLoadError(
-            f"model dims ({params.n_nodes}, {params.feat_dim}) do not match "
-            f"graph ({graph.num_nodes}, {graph.feature_dim})"
-        )
-    if _sha256(model_path) != outputs.get("model.bin"):
-        raise GraphLoadError(f"{model_path} differs from the manifest's output "
-                             "hash, or the manifest records none")
+    # The hash is taken through the descriptor that was parsed, so it is of
+    # the bytes scored even if another file was moved over the path since.
+    with M.open_model(model_path) as fh:
+        params = DignnParams.load(fh)
+        # A model.bin copied in from another run need not fit this graph, and
+        # one that fits need not be the model this run trained.
+        if params.n_nodes != graph.num_nodes or params.feat_dim != graph.feature_dim:
+            raise GraphLoadError(
+                f"model dims ({params.n_nodes}, {params.feat_dim}) do not match "
+                f"graph ({graph.num_nodes}, {graph.feature_dim})"
+            )
+        if _sha256(fh) != outputs.get("model.bin"):
+            raise GraphLoadError(f"{model_path} differs from the manifest's output "
+                                 "hash, or the manifest records none")
     return cfg, params, graph, split
 
 

@@ -100,27 +100,24 @@ class DignnParams:
         return sum(8 * r * c for _, (r, c) in cls.shape_spec(n_nodes, feat_dim, cfg))
 
     @classmethod
-    def empty_tensors(cls, n_nodes: int, feat_dim: int,
-                      cfg: DignnConfig) -> "OrderedDict[str, np.ndarray]":
-        """Uninitialized arrays in ``shape_spec`` order. ``dec_a_w2`` and
-        ``dec_a_b2`` are the first rows and the last row of one C-contiguous
-        (hidden_dim + 1, n_nodes) buffer, the [w; b] that
-        ``ad.sparse_target_mse`` reads in place."""
+    def init(cls, n_nodes: int, feat_dim: int, cfg: DignnConfig, seed) -> "DignnParams":
+        """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases: the bits
+        of one ``glorot`` pass over the tensors in order.
+
+        The tensors are allocated uninitialized in ``shape_spec`` order.
+        ``dec_a_w2`` and ``dec_a_b2`` are the first rows and the last row of
+        one C-contiguous (hidden_dim + 1, n_nodes) buffer, the [w; b] that
+        ``ad.sparse_target_mse`` reads in place. They are filled as two runs
+        split at the tensor boundary nearest half of their values, the second
+        on a thread of its own (``threads.run_in_two``) and from the init
+        stream advanced to its first value; neither run allocates anything
+        large."""
+        cfg.validate()
         h = cfg.hidden_dim
         dec_a = np.empty((h + 1, n_nodes))
         joined = {"dec_a_w2": dec_a[:h], "dec_a_b2": dec_a[h:]}
-        return OrderedDict(
-            (name, joined[name] if name in joined else np.empty(shape))
-            for name, shape in cls.shape_spec(n_nodes, feat_dim, cfg))
-
-    @classmethod
-    def init(cls, n_nodes: int, feat_dim: int, cfg: DignnConfig, seed) -> "DignnParams":
-        """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases: the bits
-        of one ``glorot`` pass over the tensors in order, drawn as two runs
-        (``_fill_in_two_runs``), the second from the init stream advanced to
-        its first value."""
-        cfg.validate()
-        items = list(cls.empty_tensors(n_nodes, feat_dim, cfg).items())
+        items = [(name, joined[name] if name in joined else np.empty(shape))
+                 for name, shape in cls.shape_spec(n_nodes, feat_dim, cfg)]
         # The init stream's draws before each tensor: one per weight value.
         skips = list(accumulate((0 if cls.is_bias(n) else a.size for n, a in items),
                                 initial=0))
@@ -133,7 +130,9 @@ class DignnParams:
                 else:
                     glorot(rng, a)
 
-        _fill_in_two_runs([a for _, a in items], draw)
+        ends = list(accumulate(a.size for _, a in items))
+        k = 1 + min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1]))
+        threads.run_in_two(partial(draw, 0, k), partial(draw, k, len(items)))
         return cls(OrderedDict((name, Var(a)) for name, a in items),
                    n_nodes, feat_dim, cfg)
 
@@ -165,67 +164,68 @@ class DignnParams:
                 fh.write(np.asarray(var.value, "<f8"))
 
     @classmethod
-    def load(cls, path: str) -> "DignnParams":
+    def load(cls, fh) -> "DignnParams":
         """Read a model written by ``save``, keeping the tensors that ``forward``
         reads: the encoders', attention's and classifier's. The decoders serve
         only training's losses, so their values are skipped, and a loaded model
         scores but does not train. The header, each tensor's header and its size
         must be what ``save`` writes for the ``shape_spec`` its sizes imply. One
         pass through the opened descriptor checks each tensor's header, and that
-        the file holds the tensor, before it allocates it or seeks past it."""
-        try:
-            fh = open(path, "rb")
-        except OSError as exc:
-            raise GraphLoadError(f"cannot open model file {path}: {exc}") from exc
+        the file holds the tensor, before it allocates it or seeks past it.
+
+        ``fh`` is a path, or a binary file open at its start (``open_model``),
+        which ``load`` leaves open: a caller that then hashes it hashes the
+        bytes parsed, even if another file was moved over the path since."""
+        if not hasattr(fh, "read"):  # a path
+            with open_model(fh) as opened:
+                return cls.load(opened)
+        path = fh.name
         truncated = GraphLoadError(f"truncated model file: {path}")
-        with fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(MODEL_HEADER.size)
-            if not head.startswith(MODEL_MAGIC):
-                raise GraphLoadError(f"not a model file: {path}")
-            if len(head) < MODEL_HEADER.size:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(MODEL_HEADER.size)
+        if not head.startswith(MODEL_MAGIC):
+            raise GraphLoadError(f"not a model file: {path}")
+        if len(head) < MODEL_HEADER.size:
+            raise truncated
+        _, version, n, d_in, d, h, n_tensors, flag = MODEL_HEADER.unpack(head)
+        cfg = DignnConfig(embed_dim=d, hidden_dim=h)
+        spec = cls.shape_spec(n, d_in, cfg)
+        if head != _file_header(n, d_in, cfg, len(spec)):
+            raise GraphLoadError(f"unsupported model header in {path}: version "
+                                 f"{version}, flag byte {flag}, {n_tensors} tensors "
+                                 f"(want {MODEL_VERSION}, {MODEL_FLAG}, {len(spec)})")
+        tensors = OrderedDict()
+        for name, shape in spec:
+            expected = _tensor_header(name, shape)
+            found = fh.read(len(expected))
+            if found != expected:
+                raise truncated if len(found) < len(expected) else GraphLoadError(
+                    f"unexpected tensor header in {path}: {name!r} of shape "
+                    f"{shape} belongs there")
+            count = shape[0] * shape[1]
+            if fh.tell() + 8 * count > size:
                 raise truncated
-            _, version, n, d_in, d, h, n_tensors, flag = MODEL_HEADER.unpack(head)
-            cfg = DignnConfig(embed_dim=d, hidden_dim=h)
-            spec = cls.shape_spec(n, d_in, cfg)
-            if head != _file_header(n, d_in, cfg, len(spec)):
-                raise GraphLoadError(f"unsupported model header in {path}: version "
-                                     f"{version}, flag byte {flag}, {n_tensors} tensors "
-                                     f"(want {MODEL_VERSION}, {MODEL_FLAG}, {len(spec)})")
-            tensors = OrderedDict()
-            for name, shape in spec:
-                expected = _tensor_header(name, shape)
-                found = fh.read(len(expected))
-                if found != expected:
-                    raise truncated if len(found) < len(expected) else GraphLoadError(
-                        f"unexpected tensor header in {path}: {name!r} of shape "
-                        f"{shape} belongs there")
-                count = shape[0] * shape[1]
-                if fh.tell() + 8 * count > size:
-                    raise truncated
-                if name.startswith("dec_"):
-                    fh.seek(8 * count, os.SEEK_CUR)
-                    continue
-                a = np.fromfile(fh, np.float64, count)
-                if a.size < count:
-                    raise truncated
-                if sys.byteorder != "little":
-                    a.byteswap(inplace=True)
-                tensors[name] = Var(a.reshape(shape))
-            if fh.tell() != size:
-                raise GraphLoadError(f"trailing bytes in model file {path}: {size} "
-                                     f"bytes, the last tensor ends at {fh.tell()}")
+            if name.startswith("dec_"):
+                fh.seek(8 * count, os.SEEK_CUR)
+                continue
+            a = np.fromfile(fh, np.float64, count)
+            if a.size < count:
+                raise truncated
+            if sys.byteorder != "little":
+                a.byteswap(inplace=True)
+            tensors[name] = Var(a.reshape(shape))
+        if fh.tell() != size:
+            raise GraphLoadError(f"trailing bytes in model file {path}: {size} "
+                                 f"bytes, the last tensor ends at {fh.tell()}")
         return cls(tensors, n, d_in, cfg)
 
 
-def _fill_in_two_runs(arrays: list[np.ndarray], fill):
-    """Have ``fill(lo, hi)``, which fills ``arrays[lo:hi]`` and allocates
-    nothing large, fill the arrays as two runs split at the array boundary
-    nearest half of their values, the second on a thread of its own
-    (``threads.run_in_two``). ``init`` alone uses it."""
-    ends = list(accumulate(a.size for a in arrays))
-    k = 1 + min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1]))
-    threads.run_in_two(partial(fill, 0, k), partial(fill, k, len(arrays)))
+def open_model(path):
+    """``path`` opened for ``DignnParams.load``, or ``GraphLoadError``."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise GraphLoadError(f"cannot open model file {path}: {exc}") from exc
 
 
 def _file_header(n_nodes: int, feat_dim: int, cfg: DignnConfig,

@@ -792,6 +792,30 @@ class TestEval:
                f"truncated model file: {path}")
         assert cut == [51]  # enc_a_w1's first value
 
+    def test_model_moved_over_the_path_while_read_is_load_error(
+            self, trained_run, ratio_run, tmp_path, capsys, monkeypatch):
+        # Another run's model.bin, of the same dims, is at the path when it
+        # is opened; the run's own file is moved over the path at the first
+        # read of a kept tensor. The hash must be of the file that was parsed.
+        run = _copy_run(trained_run, tmp_path)
+        path = run / "model.bin"
+        genuine = tmp_path / "genuine.bin"
+        os.replace(path, genuine)
+        shutil.copy(os.path.join(ratio_run, "model.bin"), path)
+        fromfile = np.fromfile
+        moved = []
+
+        def move_then_read(file, *args, **kwargs):
+            if not moved and hasattr(file, "tell"):  # the model's, not a graph file's
+                moved.append(file.tell())
+                os.replace(genuine, path)
+            return fromfile(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "fromfile", move_then_read)
+        _exits(capsys, ["eval", "--run", str(run)], EXIT_LOAD,
+               f"{path} differs from the manifest's output hash")
+        assert moved == [51]
+
 
 @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
 @pytest.mark.parametrize("flag, value", [

@@ -2,7 +2,6 @@ import math
 import os
 import struct
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -253,15 +252,16 @@ class TestTwoRuns:
         drawn = generator(7).random(skip + 9)
         assert np.array_equal(generator(7, skip).random(9), drawn[skip:])
 
-    def test_runs_split_at_the_decoder_output_layer_at_yelpchi_scale(self):
+    def test_runs_split_at_the_decoder_output_layer_at_yelpchi_scale(self, monkeypatch):
         # The topology encoder and the small tensors (2.95 M values) against
-        # the decoder's output layer and the rest (2.99 M).
-        tensors = DignnParams.empty_tensors(45_954, 32, DignnConfig())
+        # the decoder's output layer and the rest (2.99 M). The runs are
+        # recorded, not run, so the tensors stay unfilled.
         runs = []
-        M._fill_in_two_runs(list(tensors.values()),
-                            lambda lo, hi: runs.append((lo, hi)))
-        assert sorted(runs) == [(0, 15), (15, 21)]
-        assert list(tensors)[15] == "dec_a_w2"
+        monkeypatch.setattr(M.threads, "run_in_two",
+                            lambda first, second: runs.append((first.args, second.args)))
+        p = DignnParams.init(45_954, 32, DignnConfig(), seed=0)
+        assert runs == [((0, 15), (15, 21))]
+        assert list(p.tensors)[15] == "dec_a_w2"
 
     def test_without_a_thread_the_caller_fills_both_runs(self, monkeypatch):
         # init's second run falls back to the calling thread, with the same values.
@@ -278,21 +278,6 @@ class TestTwoRuns:
         for name, var in threaded.tensors.items():
             assert np.array_equal(p[name].value, var.value), name
         assert len(started) == 1
-
-    def test_callers_error_is_raised_after_the_worker_ends(self):
-        arrays = [np.empty(4), np.empty(4)]
-        ended = []
-
-        def fill(lo, hi):
-            if lo == 0:
-                raise GraphLoadError("first")
-            time.sleep(0.05)
-            ended.append(threading.current_thread() is not threading.main_thread())
-            raise GraphLoadError("second")
-
-        with pytest.raises(GraphLoadError, match="first"):
-            M._fill_in_two_runs(arrays, fill)
-        assert ended == [True]
 
 
 class TestJoinedDecoderLayer:

@@ -93,6 +93,22 @@ def test_second_half_runs_on_its_own_thread_on_one_cpu():
     assert sorted(ran) == [("first", True), ("second", False)]
 
 
+def test_callers_error_is_raised_after_the_second_half_ends():
+    ended = []
+
+    def first():
+        raise ValueError("first")
+
+    def second():
+        time.sleep(0.05)
+        ended.append(threading.current_thread() is not threading.main_thread())
+        raise ValueError("second")
+
+    with pytest.raises(ValueError, match="first"):
+        threads.run_in_two(first, second)
+    assert ended == [True]
+
+
 def test_no_thread_outlives_a_call(tmp_path, monkeypatch):
     # train (init's runs, then Adam's updates of the 1,000 x 64 encoder
     # layer) and init each start threads, and load, which reads on the
