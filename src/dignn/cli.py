@@ -34,7 +34,7 @@ from .model import DignnConfig, DignnParams
 from .rng import seed_streams
 from .trainer import (
     ABLATIONS, GRADCHECK_VARIANTS, MODES, TrainConfig, evaluate, gradcheck,
-    score_batches, train,
+    score_batches, train, trains,
 )
 
 EXIT_OK = 0
@@ -73,6 +73,9 @@ FAILURE_EXITS = {
     UndefinedMetricError: (EXIT_USAGE, "usage error"),
     GraphLoadError: (EXIT_LOAD, "load error"),
     DivergenceError: (EXIT_DIVERGENCE, "error"),
+    # A data file or model.bin that cannot be opened or read: outputs,
+    # config files and manifests map their own OS errors to usage errors.
+    OSError: (EXIT_LOAD, "load error"),
     # An allocation past what the process may use, which ``_check_memory``'s
     # estimates did not foresee (numpy raises a subclass).
     MemoryError: (EXIT_USAGE, "usage error"),
@@ -227,14 +230,11 @@ def _sha256(file) -> str:
 def _load_data(data_dir: str, cfg: dict, recorded: dict):
     """``data_dir``'s file hashes, each file in ``recorded`` checked against
     them, and its graph split and normalized as ``cfg`` says, with the split."""
-    if not os.path.isdir(data_dir):
-        raise GraphLoadError(f"not a directory: {data_dir}")
     hashes = {}  # keyed by each file name's UTF-8 decoding, as load_graph names them
-    root = os.fsencode(data_dir)
-    for raw in sorted(os.listdir(root)):
-        fp = os.path.join(root, raw)
+    for name in sorted(os.listdir(data_dir)):
+        fp = os.path.join(data_dir, name)
         if os.path.isfile(fp):
-            hashes[raw.decode(errors="surrogateescape")] = _sha256(fp)
+            hashes[os.fsencode(name).decode(errors="surrogateescape")] = _sha256(fp)
     for name in sorted(recorded):
         if hashes.get(name) != recorded[name]:
             raise GraphLoadError(f"{name} in {data_dir} is missing or differs "
@@ -254,7 +254,7 @@ def _load_run(run_dir: str):
     model_path = os.path.join(run_dir, "model.bin")
     # The hash is taken through the descriptor that was parsed, so it is of
     # the bytes scored even if another file was moved over the path since.
-    with M.open_model(model_path) as fh:
+    with open(model_path, "rb") as fh:
         params = DignnParams.load(fh)
         # A model.bin copied in from another run need not fit this graph, and
         # one that fits need not be the model this run trained.
@@ -293,7 +293,8 @@ def cmd_train(args) -> int:
     tcfg = build_train_config(cfg)
     hashes, graph, split = _load_data(data_dir, cfg, recorded)
     mcfg, n = tcfg.model, graph.num_nodes
-    need = 3 * DignnParams.nbytes(n, graph.feature_dim, mcfg)
+    need = sum((3 if trains(tcfg, name) else 1) * 8 * r * c
+               for name, (r, c) in DignnParams.shape_spec(n, graph.feature_dim, mcfg))
     use = "the parameters and Adam's two moments"
     if tcfg.ablation == "full":
         # The topology decoder's loss holds three (hidden_dim + 1)^2 arrays

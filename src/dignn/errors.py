@@ -14,7 +14,8 @@ class InvalidLabelError(DignnError):
 
 
 class GraphLoadError(DignnError):
-    """A graph directory is missing files or internally inconsistent."""
+    """A data file or model.bin holds contents that are malformed or do not
+    fit; one that cannot be opened or read raises Python's ``OSError``."""
 
 
 class SplitError(DignnError):

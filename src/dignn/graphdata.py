@@ -154,30 +154,27 @@ def build_union_adj(pairs, num_nodes: int, num_pairs: int) -> sp.csr_matrix:
 
 
 def _read_exact(path: str, dtype, count: int, what: str) -> np.ndarray:
-    """The ``count`` values of ``dtype`` in ``path``. Its size is checked
-    first, so nothing past what it holds is allocated; a file that holds
-    another count, or changes size while it is read, is a load error."""
-    if not os.path.isfile(path):
-        raise GraphLoadError(f"missing file: {path}")
-    itemsize = np.dtype(dtype).itemsize
-    found, rest = divmod(os.path.getsize(path), itemsize)
-    if rest:
-        raise GraphLoadError(f"{what}: {path} ends in a partial value "
-                             f"({rest} of {itemsize} bytes)")
-    if found == count:
-        values = np.fromfile(path, dtype=dtype, count=count)
-        found = values.size
+    """The ``count`` values of ``dtype`` in ``path``, read through the one
+    descriptor whose size is checked first, so nothing past what it holds is
+    allocated; a file that holds another count, or changes size while it is
+    read, is a load error. One that cannot be opened raises ``OSError``."""
+    with open(path, "rb") as fh:
+        itemsize = np.dtype(dtype).itemsize
+        found, rest = divmod(os.fstat(fh.fileno()).st_size, itemsize)
+        if rest:
+            raise GraphLoadError(f"{what}: {path} ends in a partial value "
+                                 f"({rest} of {itemsize} bytes)")
+        if found == count:
+            values = np.fromfile(fh, dtype=dtype, count=count)
+            found = values.size
     if found != count:
         raise GraphLoadError(f"{what}: expected {count} values in {path}, found {found}")
     return values
 
 
 def load_graph(path: str) -> FraudGraph:
-    meta_path = os.path.join(path, "meta.json")
-    if not os.path.isfile(meta_path):
-        raise GraphLoadError(f"missing file: {meta_path}")
     try:
-        with open(meta_path, encoding="utf-8") as fh:
+        with open(os.path.join(path, "meta.json"), encoding="utf-8") as fh:
             meta = json.load(fh)
         n, d, rel_names = meta["num_nodes"], meta["feature_dim"], meta["relations"]
         # ``type(...) is int`` also rejects a bool, which is an int subclass.
@@ -202,7 +199,7 @@ def load_graph(path: str) -> FraudGraph:
         raise GraphLoadError("labels must lie in {-1, 0, 1}")
 
     # Each edge file counted once: the sum sizes the union, and each read must match.
-    counts = [os.path.getsize(p) // 4 if os.path.isfile(p) else 0 for p in epaths]
+    counts = [os.path.getsize(p) // 4 for p in epaths]
 
     def edges():  # one file's pairs at a time, none kept
         for epath, count in zip(epaths, counts):

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import sys
 from dataclasses import dataclass
 from collections import OrderedDict
 from functools import partial
@@ -168,16 +167,18 @@ class DignnParams:
         """Read a model written by ``save``, keeping the tensors that ``forward``
         reads: the encoders', attention's and classifier's. The decoders serve
         only training's losses, so their values are skipped, and a loaded model
-        scores but does not train. The header, each tensor's header and its size
-        must be what ``save`` writes for the ``shape_spec`` its sizes imply. One
-        pass through the opened descriptor checks each tensor's header, and that
-        the file holds the tensor, before it allocates it or seeks past it.
+        scores but does not train. The header, each tensor's header and the
+        file's size must be what ``save`` writes for the ``shape_spec`` its
+        sizes imply. The size is checked once, before any tensor header is
+        read, so nothing past what the file holds is allocated or skipped; a
+        read that meets the file's end (it shrank meanwhile) is a truncation.
 
-        ``fh`` is a path, or a binary file open at its start (``open_model``),
-        which ``load`` leaves open: a caller that then hashes it hashes the
-        bytes parsed, even if another file was moved over the path since."""
+        ``fh`` is a path, or a binary file open at its start, which ``load``
+        leaves open: a caller that then hashes it hashes the bytes parsed,
+        even if another file was moved over the path since. A path that
+        cannot be opened raises ``OSError``."""
         if not hasattr(fh, "read"):  # a path
-            with open_model(fh) as opened:
+            with open(fh, "rb") as opened:
                 return cls.load(opened)
         path = fh.name
         truncated = GraphLoadError(f"truncated model file: {path}")
@@ -189,43 +190,33 @@ class DignnParams:
             raise truncated
         _, version, n, d_in, d, h, n_tensors, flag = MODEL_HEADER.unpack(head)
         cfg = DignnConfig(embed_dim=d, hidden_dim=h)
-        spec = cls.shape_spec(n, d_in, cfg)
+        spec = [(name, shape, _tensor_header(name, shape))
+                for name, shape in cls.shape_spec(n, d_in, cfg)]
         if head != _file_header(n, d_in, cfg, len(spec)):
             raise GraphLoadError(f"unsupported model header in {path}: version "
                                  f"{version}, flag byte {flag}, {n_tensors} tensors "
                                  f"(want {MODEL_VERSION}, {MODEL_FLAG}, {len(spec)})")
+        end = len(head) + sum(len(t) + 8 * r * c for _, (r, c), t in spec)
+        if size != end:
+            raise truncated if size < end else GraphLoadError(
+                f"trailing bytes in model file {path}: {size} bytes, the last "
+                f"tensor ends at {end}")
         tensors = OrderedDict()
-        for name, shape in spec:
-            expected = _tensor_header(name, shape)
+        for name, shape, expected in spec:
             found = fh.read(len(expected))
             if found != expected:
                 raise truncated if len(found) < len(expected) else GraphLoadError(
                     f"unexpected tensor header in {path}: {name!r} of shape "
                     f"{shape} belongs there")
             count = shape[0] * shape[1]
-            if fh.tell() + 8 * count > size:
-                raise truncated
             if name.startswith("dec_"):
                 fh.seek(8 * count, os.SEEK_CUR)
                 continue
-            a = np.fromfile(fh, np.float64, count)
+            a = np.fromfile(fh, "<f8", count)
             if a.size < count:
                 raise truncated
-            if sys.byteorder != "little":
-                a.byteswap(inplace=True)
             tensors[name] = Var(a.reshape(shape))
-        if fh.tell() != size:
-            raise GraphLoadError(f"trailing bytes in model file {path}: {size} "
-                                 f"bytes, the last tensor ends at {fh.tell()}")
         return cls(tensors, n, d_in, cfg)
-
-
-def open_model(path):
-    """``path`` opened for ``DignnParams.load``, or ``GraphLoadError``."""
-    try:
-        return open(path, "rb")
-    except OSError as exc:
-        raise GraphLoadError(f"cannot open model file {path}: {exc}") from exc
 
 
 def _file_header(n_nodes: int, feat_dim: int, cfg: DignnConfig,

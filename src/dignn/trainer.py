@@ -134,11 +134,15 @@ def _batch_losses(params: DignnParams, batch, cfg: TrainConfig, rng):
     return loss, figures
 
 
+def trains(cfg: TrainConfig, name: str) -> bool:
+    """Whether the ablation's loss reads the tensor ``name``: under ``no_mi``
+    no loss term reaches the decoders, so they keep their init."""
+    return cfg.ablation == "full" or not name.startswith("dec_")
+
+
 def build_optimizer(params: DignnParams, cfg: TrainConfig) -> ad.Adam:
-    """Adam over the tensors that the ablation's loss reads: under ``no_mi``
-    no loss term reaches the decoders, so they stay out and keep their init."""
-    tensors = {n: v for n, v in params.tensors.items()
-               if cfg.ablation == "full" or not n.startswith("dec_")}
+    """Adam over the tensors that the ablation's loss reads (``trains``)."""
+    tensors = {n: v for n, v in params.tensors.items() if trains(cfg, n)}
     return ad.Adam(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay,
                    no_decay=params.no_decay_names())
 

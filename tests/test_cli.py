@@ -1,3 +1,5 @@
+import builtins
+import errno
 import hashlib
 import json
 import math
@@ -158,7 +160,8 @@ _U32 = partial(struct.pack, "<I")
 # ``test_invalid_value_is_usage_error_before_out``.
 FAILURES = {
     "meta.json": ("graph", "meta.json", EXIT_LOAD, [
-        ("missing", os.remove, "missing file: {dir}/meta.json"),
+        ("missing", os.remove, "[Errno 2] No such file or directory: '{dir}/meta.json'"),
+        ("directory", _directory, "[Errno 21] Is a directory: '{dir}/meta.json'"),
         ("empty", _write(b""), "bad meta.json"),
         ("not_json", _write(b"{bad"), "bad meta.json"),
         ("not_utf8", _write(b"\xff"), "bad meta.json"),
@@ -180,7 +183,8 @@ FAILURES = {
          f"features: expected {2 ** 34} values in {{dir}}/features.f32le, found 1600"),
     ]),
     "features.f32le": ("graph", "features.f32le", EXIT_LOAD, [
-        ("missing", os.remove, "missing file: {dir}/features.f32le"),
+        ("missing", os.remove, "[Errno 2] No such file or directory: '{dir}/features.f32le'"),
+        ("directory", _directory, "[Errno 21] Is a directory: '{dir}/features.f32le'"),
         ("empty", _write(b""), "expected 1600 values in {dir}/features.f32le, found 0"),
         ("short", _bytes(lambda b: b[:-4]), "expected 1600 values in "
          "{dir}/features.f32le, found 1599"),
@@ -189,13 +193,15 @@ FAILURES = {
         ("nan", _patch((0, struct.pack("<f", math.nan))), "non-finite values"),
     ]),
     "labels.i8": ("graph", "labels.i8", EXIT_LOAD, [
-        ("missing", os.remove, "missing file: {dir}/labels.i8"),
+        ("missing", os.remove, "[Errno 2] No such file or directory: '{dir}/labels.i8'"),
+        ("directory", _directory, "[Errno 21] Is a directory: '{dir}/labels.i8'"),
         ("empty", _write(b""), "expected 200 values in {dir}/labels.i8, found 0"),
         ("out_of_range", _patch((0, b"\x05")), "labels must lie in {-1, 0, 1}"),
         ("negative", _patch((0, b"\xfe")), "labels must lie in {-1, 0, 1}"),
     ]),
     "edges_SYN.u32le": ("graph", "edges_SYN.u32le", EXIT_LOAD, [
-        ("missing", os.remove, "missing file: {dir}/edges_SYN.u32le"),
+        ("missing", os.remove, "[Errno 2] No such file or directory: '{dir}/edges_SYN.u32le'"),
+        ("directory", _directory, "[Errno 21] Is a directory: '{dir}/edges_SYN.u32le'"),
         ("partial_value", _bytes(lambda b: b + b"\0\0"), "edges: "
          "{dir}/edges_SYN.u32le ends in a partial value (2 of 4 bytes)"),
         ("odd", _bytes(lambda b: b + bytes(4)), "odd number of endpoints in "
@@ -280,8 +286,8 @@ FAILURES = {
     ]),
     "model.bin hash": ("run", "model.bin", EXIT_LOAD, [
         # A diverged run leaves a manifest but no model.bin.
-        ("missing", os.remove, "cannot open model file {dir}/model.bin"),
-        ("directory", _directory, "cannot open model file {dir}/model.bin"),
+        ("missing", os.remove, "[Errno 2] No such file or directory: '{dir}/model.bin'"),
+        ("directory", _directory, "[Errno 21] Is a directory: '{dir}/model.bin'"),
         # A model of the same graph that this run did not write: the
         # dimensions fit, and only the recorded hash tells.
         ("other_runs_model", _patch((51, struct.pack("<d", 0.5))),
@@ -324,6 +330,12 @@ FAILURES["address space limit"] = ("limit", None, EXIT_USAGE, [
      "hidden_dim = 30000 and embed_dim = 32 on 200 nodes need 21996034248 bytes "
      "for the parameters, Adam's two moments and the topology decoder's three "
      "(hidden_dim + 1)^2 Gramian arrays"),
+    # Under no_mi Adam keeps no moments for the decoders: 0.66 GB of
+    # parameters and 0.66 GB of moments (not the 1.97 GB of three copies of
+    # every tensor), which the guard refuses.
+    ("train_no_mi", (["train"], "ablation = no_mi\nhidden_dim = 150000", 1_000_000_000),
+     "hidden_dim = 150000 and embed_dim = 32 on 200 nodes need 1315230896 bytes "
+     "for the parameters and Adam's two moments, more than the 1000000000 bytes"),
     # 0.94 GB of parameters, moments and Gramian arrays pass the guard; with
     # the interpreter's own mappings, a (6001, 6001) array then fails, after
     # --out was made.
@@ -400,8 +412,8 @@ class TestGraphChangedWhileLoaded:
         fromfile = np.fromfile
 
         def cut_then_read(file, *args, **kwargs):
-            if str(file).endswith("features.f32le"):
-                _bytes(lambda b: b[:-4])(Path(file))
+            if file.name.endswith("features.f32le"):
+                _bytes(lambda b: b[:-4])(Path(file.name))
             return fromfile(file, *args, **kwargs)
 
         monkeypatch.setattr(np, "fromfile", cut_then_read)
@@ -426,6 +438,45 @@ class TestGraphChangedWhileLoaded:
         monkeypatch.setattr(graphdata, "build_union_adj", change_then_build)
         self.train(capsys, graph,
                    f"edges: expected {count} values in {edges}, found {count + found}")
+
+
+class TestUnreadableInput:
+    """A data file or model.bin that exists but cannot be read exits 3 with
+    Python's own message, which names it."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("train", "labels.i8"), ("eval", "labels.i8"), ("eval", "model.bin"),
+    ])
+    def test_permission_denied_is_load_error(self, data_dir, trained_run, tmp_path,
+                                             capsys, monkeypatch, command, name):
+        denied = os.path.join(trained_run if name == "model.bin" else data_dir, name)
+        real_open = builtins.open
+
+        def deny(file, *args, **kwargs):  # as a mode-000 file denies a non-root user
+            if file in (denied, os.fsencode(denied)):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", deny)
+        out = str(tmp_path / "o")
+        argv = (["train", "--data", data_dir, "--epochs", "1"] if command == "train"
+                else ["eval", "--run", trained_run])
+        _exits(capsys, [*argv, "--out", out], EXIT_LOAD,
+               f"[Errno 13] Permission denied: '{denied}'", out)
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a mode-000 file")
+    def test_mode_000_data_file_is_load_error(self, data_dir, tmp_path, capsys):
+        graph = tmp_path / "g"
+        shutil.copytree(data_dir, graph)
+        labels = graph / "labels.i8"
+        labels.chmod(0)
+        try:
+            out = str(tmp_path / "o")
+            _exits(capsys, ["train", "--data", str(graph), "--epochs", "1",
+                            "--out", out], EXIT_LOAD,
+                   f"[Errno 13] Permission denied: '{labels}'", out)
+        finally:
+            labels.chmod(0o644)
 
 
 def test_non_ascii_relation_runs_under_the_c_locale(tmp_path, capsys):
@@ -624,7 +675,7 @@ class TestTrain:
     def test_bad_data_dir_is_load_error(self, tmp_path, capsys):
         out, data = str(tmp_path / "o"), str(tmp_path / "nope")
         _exits(capsys, ["train", "--data", data, "--out", out], EXIT_LOAD,
-               f"not a directory: {data}", out)
+               f"[Errno 2] No such file or directory: '{data}'", out)
 
     @pytest.mark.parametrize("row", _rows("meta.json"))
     def test_malformed_meta_is_load_error(self, fails, row):
@@ -782,7 +833,7 @@ class TestEval:
         cut = []
 
         def truncate_then_read(file, *args, **kwargs):
-            if not cut and hasattr(file, "tell"):  # the model's, not a graph file's
+            if not cut and file.name == str(path):  # the model's, not a graph file's
                 cut.append(file.tell())
                 os.truncate(path, file.tell() + 8)
             return fromfile(file, *args, **kwargs)
@@ -806,7 +857,7 @@ class TestEval:
         moved = []
 
         def move_then_read(file, *args, **kwargs):
-            if not moved and hasattr(file, "tell"):  # the model's, not a graph file's
+            if not moved and file.name == str(path):  # the model's, not a graph file's
                 moved.append(file.tell())
                 os.replace(genuine, path)
             return fromfile(file, *args, **kwargs)

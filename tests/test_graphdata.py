@@ -55,7 +55,7 @@ class TestLoadSave:
         g = toy_graph()
         save_graph(g, str(tmp_path))
         os.remove(tmp_path / "labels.i8")
-        with pytest.raises(GraphLoadError, match="missing file"):
+        with pytest.raises(FileNotFoundError, match="labels.i8"):
             load_graph(str(tmp_path))
 
     def test_length_mismatch(self, tmp_path):

@@ -92,7 +92,7 @@ class TestParams:
         p.save(str(path))
         blob = path.read_bytes()
         path.write_bytes(blob[:-17])
-        with pytest.raises(GraphLoadError):
+        with pytest.raises(GraphLoadError, match="truncated model file"):
             DignnParams.load(str(path))
 
     def test_load_rejects_trailing_bytes(self, tmp_path):
@@ -201,6 +201,26 @@ class TestParams:
         assert replaced == [51]  # enc_a_w1's first value
         for name in SCORING:
             assert np.array_equal(loaded[name].value, checked[name].value), name
+
+    def test_header_cut_short_after_the_size_check_is_truncation(self, tmp_path,
+                                                                 monkeypatch):
+        # The file shrinks once its size was checked: enc_a_w1 is read whole,
+        # and enc_a_b1's header, 3 bytes of it left, is a truncation.
+        path = tmp_path / "m.bin"
+        DignnParams.init(6, 4, small_cfg(), seed=1).save(str(path))
+        fromfile = np.fromfile
+        cut = []
+
+        def cut_then_read(fh, dtype, count):
+            if not cut:
+                cut.append(fh.tell() + 8 * count + 3)
+                os.truncate(path, cut[0])
+            return fromfile(fh, dtype, count)
+
+        monkeypatch.setattr(np, "fromfile", cut_then_read)
+        with pytest.raises(GraphLoadError, match=f"truncated model file: {path}"):
+            DignnParams.load(str(path))
+        assert cut == [51 + 8 * 6 * 5 + 3]  # enc_a_w1 is (6, hidden_dim 5)
 
     def test_loaded_model_scores_as_the_saved_one(self, tmp_path):
         cfg = DignnConfig()
